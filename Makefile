@@ -1,10 +1,11 @@
 GO ?= go
 BENCHTIME ?= 5x
 FUZZTIME ?= 20s
-FUZZ_TARGETS := FuzzMatchLookup FuzzSubsumes FuzzPrefixContains
+FUZZ_TARGETS := FuzzMatchLookup FuzzBatchSequence FuzzSubsumes FuzzPrefixContains
 SHARD_CLASSES ?= 200000
 SHARD_COUNTS ?= 1,2,4,8
-SHARD_MIN_SPEEDUP ?= 2
+SHARD_MIN_SPEEDUP ?= 1
+SHARD_MAX_SLOWDOWN ?= 0
 POLICY_MIN_COMPILES ?= 2000
 
 .PHONY: build test race vet lint bench bench-dp bench-shard bench-policy reopt fuzz cover check trace-smoke clean
@@ -53,14 +54,18 @@ bench-dp:
 
 # bench-shard refreshes BENCH_scale.json, the regional-sharding scale
 # report: the same synthetic FatTree class workload admitted through a
-# ShardedController at increasing shard counts, with classes/s, heap per
-# shard, and the cross-shard interference audit for every run. The
-# monolith's admission cost grows super-linearly in installed classes
-# (full table recompiles and transaction pre-images), so the sharded
-# runs win even on one core; -min-speedup doubles as the CI regression
-# smoke. SHARD_CLASSES/SHARD_COUNTS/SHARD_MIN_SPEEDUP tune the run.
+# ShardedController at increasing shard counts (one worker, so one
+# core), with classes/s, heap per shard, the cross-shard interference
+# audit for every run, and the 1-shard slowdown — the 1-shard rate at
+# an eighth of the classes over the rate at all of them. Flow-table
+# commits cost O(batch), so the monolith's admission is close to linear
+# in installed classes and sharding buys little on one core; the CI
+# smoke therefore gates the slowdown (SHARD_MAX_SLOWDOWN, 0 = off) and
+# the zero-violation audit, and SHARD_MIN_SPEEDUP only requires the
+# highest shard count not to lose to one shard.
+# SHARD_CLASSES/SHARD_COUNTS tune the run.
 bench-shard:
-	$(GO) run ./cmd/benchshard -classes $(SHARD_CLASSES) -shards $(SHARD_COUNTS) -min-speedup $(SHARD_MIN_SPEEDUP) -out BENCH_scale.json
+	$(GO) run ./cmd/benchshard -classes $(SHARD_CLASSES) -shards $(SHARD_COUNTS) -min-speedup $(SHARD_MIN_SPEEDUP) -max-slowdown $(SHARD_MAX_SLOWDOWN) -out BENCH_scale.json
 
 # bench-policy refreshes BENCH_policy.json, the policy engine v2 report:
 # hierarchy compile throughput (org/tenant/class layers with merge and

@@ -5,22 +5,30 @@
 // written to a machine-readable BENCH_scale.json tracked across PRs
 // alongside BENCH_dataplane.json and BENCH_lp.json.
 //
-// The interesting curve is super-linear: the monolith's admission cost
-// has quadratic terms (every flow-table rebuild and transaction
-// pre-image scales with the tables already installed), so R regions
-// each holding C/R classes do strictly less total work than one region
-// holding C — sharding pays even on a single core.
+// Every region runs with one worker, so the curve shows what sharding
+// buys on one core: R regions each holding C/R classes do less total
+// work than one region holding C only insofar as the monolith's
+// per-class admission cost still grows with the state already
+// installed. Flow-table commits cost O(batch) (incremental tuple
+// publication and watermark undo marks), so that growth is small and
+// sharding's remaining one-core gain comes from smaller per-region
+// state elsewhere, not from avoided table rebuilds.
 //
-// The -min-speedup gate turns the report into a regression smoke: if
-// the classes/s rate at the highest shard count is not at least the
-// given multiple of the single-shard rate, the exit status is 1 and CI
-// fails.
+// The gates turn the report into a regression smoke (exit status 1):
+//
+//   - -max-slowdown guards the property the monolith must keep: the
+//     1-shard classes/s at classes/8 divided by the 1-shard rate at
+//     classes must not exceed the given ratio, i.e. admission stays
+//     close to linear in installed classes;
+//   - -min-speedup requires the highest shard count to reach the given
+//     multiple of the 1-shard rate;
+//   - the cross-shard audit of the last run must find zero violations.
 //
 // Usage:
 //
 //	benchshard                                    # FatTree(16), 100k classes, shards 1,2,4
 //	benchshard -topo fattree32 -classes 1000000   # million-class run
-//	benchshard -out - -min-speedup 2              # JSON to stdout, gate at 2x
+//	benchshard -out - -max-slowdown 1.5           # JSON to stdout, gate the 1-shard slowdown
 package main
 
 import (
@@ -30,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -56,6 +65,16 @@ type ShardReport struct {
 	AuditViolations int     `json:"audit_violations"`
 }
 
+// Slowdown compares the 1-shard admission rate at an eighth of the
+// classes with the rate at all of them: how much per-class admission
+// cost grows with installed state.
+type Slowdown struct {
+	SmallClasses       int     `json:"small_classes"`
+	SmallClassesPerSec float64 `json:"small_classes_per_sec"`
+	ClassesPerSec      float64 `json:"classes_per_sec"`
+	Ratio              float64 `json:"ratio"`
+}
+
 // Report is the whole BENCH_scale.json document.
 type Report struct {
 	GeneratedAt string        `json:"generated_at"`
@@ -64,7 +83,10 @@ type Report struct {
 	Classes     int           `json:"classes"`
 	Seed        int64         `json:"seed"`
 	MinSpeedup  float64       `json:"gate_min_speedup"`
+	MaxSlowdown float64       `json:"gate_max_slowdown"`
 	Runs        []ShardReport `json:"runs"`
+	// OneShardSlowdown is present when the shard counts include 1.
+	OneShardSlowdown *Slowdown `json:"one_shard_slowdown,omitempty"`
 }
 
 func main() {
@@ -79,6 +101,7 @@ func run() int {
 		seed        = flag.Int64("seed", 1, "deterministic workload seed")
 		out         = flag.String("out", "BENCH_scale.json", "output path, or - for stdout")
 		minSpeedup  = flag.Float64("min-speedup", 1, "fail (exit 1) unless classes/s at the highest shard count is at least this multiple of the 1-shard rate")
+		maxSlowdown = flag.Float64("max-slowdown", 0, "fail (exit 1) unless the 1-shard classes/s at classes/8 is at most this multiple of the 1-shard rate at classes (0 disables)")
 		chunk       = flag.Int("chunk", 2048, "classes per AddClassBatch transaction")
 		ingressPods = flag.Int("ingress-pods", 4, "fat-tree pods acting as class ingresses (concentration drives per-table state)")
 	)
@@ -110,6 +133,18 @@ func run() int {
 		Classes:     *classes,
 		Seed:        *seed,
 		MinSpeedup:  *minSpeedup,
+		MaxSlowdown: *maxSlowdown,
+	}
+	// The 1-shard run at an eighth of the classes goes first, so neither
+	// it nor the full run inherits heap the other has already grown.
+	if slices.Contains(shardCounts, 1) {
+		small := cls[:len(cls)/8]
+		sr, err := measure(g, hosts, small, 1, *seed, *chunk)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchshard: 1 shard at %d classes: %v\n", len(small), err)
+			return 1
+		}
+		rep.OneShardSlowdown = &Slowdown{SmallClasses: len(small), SmallClassesPerSec: sr.ClassesPerSec}
 	}
 	var oneShardRate float64
 	for _, n := range shardCounts {
@@ -130,6 +165,14 @@ func run() int {
 			sr.HeapPerShardMB, sr.AuditViolations)
 	}
 
+	if rep.OneShardSlowdown != nil {
+		sd := rep.OneShardSlowdown
+		sd.ClassesPerSec = oneShardRate
+		sd.Ratio = sd.SmallClassesPerSec / oneShardRate
+		fmt.Fprintf(os.Stderr, "1 shard: %9.0f classes/s at %d classes, %9.0f at %d: slowdown %.2fx\n",
+			sd.SmallClassesPerSec, sd.SmallClasses, oneShardRate, len(cls), sd.Ratio)
+	}
+
 	if err := writeReport(*out, &rep); err != nil {
 		fmt.Fprintf(os.Stderr, "benchshard: %v\n", err)
 		return 1
@@ -144,8 +187,18 @@ func run() int {
 			last.Shards, last.Speedup, *minSpeedup)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "GATE: ok — %d-shard speedup %.2fx (min %.2fx), zero audit violations\n",
-		last.Shards, last.Speedup, *minSpeedup)
+	if *maxSlowdown > 0 {
+		if rep.OneShardSlowdown == nil {
+			fmt.Fprintf(os.Stderr, "GATE: FAIL — -max-slowdown needs shard count 1 in -shards\n")
+			return 1
+		}
+		if r := rep.OneShardSlowdown.Ratio; r > *maxSlowdown {
+			fmt.Fprintf(os.Stderr, "GATE: FAIL — 1-shard slowdown %.2fx above maximum %.2fx\n", r, *maxSlowdown)
+			return 1
+		}
+	}
+	fmt.Fprintf(os.Stderr, "GATE: ok — %d-shard speedup %.2fx (min %.2fx), 1-shard slowdown gate %.2fx (0 = off), zero audit violations\n",
+		last.Shards, last.Speedup, *minSpeedup, *maxSlowdown)
 	return 0
 }
 

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -225,6 +226,17 @@ func (d *DynamicHandler) Counters() *metrics.Counters { return d.counters }
 // detectors run, and overload/recovery transitions trigger fast failover
 // and rollback. It returns the number of transitions handled.
 func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
+	n, err := d.rebalance(rates)
+	if err != nil {
+		return n, err
+	}
+	m, err := d.rollbackPass(rates)
+	return n + m, err
+}
+
+// rebalance is Observe's detection pass: it recomputes loads, runs every
+// instance's detector, and re-balances away from overloaded instances.
+func (d *DynamicHandler) rebalance(rates map[core.ClassID]float64) (int, error) {
 	d.reapZombies()
 	// Pick up instances added since the handler was created (online
 	// classes, failover spawns from other handlers).
@@ -297,24 +309,33 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 			}
 		}
 	}
-	// Rollback pass: a class in failover state rolls back as soon as its
-	// base distribution would fit under every instance's overload
-	// threshold (§VI: "the distribution will roll back to the normal
-	// state when the VNF instance is no longer overloaded").
+	return transitions, nil
+}
+
+// rollbackPass is Observe's recovery pass. A class in failover state
+// rolls back as soon as its base distribution would fit under every
+// instance's overload threshold (§VI: "the distribution will roll back
+// to the normal state when the VNF instance is no longer overloaded").
+// Loads are computed once for the pass and again only after a rollback
+// changes them, so the pass costs O(classes) plus O(classes) per
+// rollback, not O(classes) per class in failover.
+func (d *DynamicHandler) rollbackPass(rates map[core.ClassID]float64) (int, error) {
+	transitions := 0
+	var cur map[vnf.ID]float64
 	for _, classID := range d.c.Classes() {
 		if d.states[classID] == nil {
 			continue
 		}
-		ok, err := d.baseWouldFit(classID, rates)
-		if err != nil {
-			return transitions, err
+		if cur == nil {
+			cur = d.c.Loads(rates)
 		}
-		if !ok {
+		if !d.baseWouldFit(classID, rates, cur) {
 			continue
 		}
 		if err := d.rollback(classID); err != nil {
 			return transitions, err
 		}
+		cur = nil
 		transitions++
 	}
 	return transitions, nil
@@ -322,14 +343,15 @@ func (d *DynamicHandler) Observe(rates map[core.ClassID]float64) (int, error) {
 
 // baseWouldFit simulates restoring classID's base distribution on top of
 // everything else's current loads and reports whether every instance
-// stays below its overload threshold.
-func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64) (bool, error) {
+// stays below its overload threshold. loads are the current per-instance
+// loads (Loads(rates)) and are not modified.
+func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.ClassID]float64, loads map[vnf.ID]float64) bool {
 	a, _ := d.c.assign.get(classID)
 	rate, ok := rates[classID]
 	if !ok {
 		rate = a.Class.RateMbps
 	}
-	adj := d.c.Loads(rates)
+	adj := maps.Clone(loads)
 	// Remove the class's current contribution.
 	wsum := 0.0
 	for _, w := range a.Weights {
@@ -349,7 +371,7 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 		bsum += w
 	}
 	if bsum <= 0 {
-		return false, nil
+		return false
 	}
 	touched := make(map[vnf.ID]bool)
 	for s := range a.Base {
@@ -366,10 +388,10 @@ func (d *DynamicHandler) baseWouldFit(classID core.ClassID, rates map[core.Class
 		}
 		high, _ := det.Thresholds()
 		if adj[inst] > high {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // overload applies the §VI re-balancing for one overloaded instance.

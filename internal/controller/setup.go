@@ -132,9 +132,18 @@ func (st *assignStore) ids() []core.ClassID {
 }
 
 // snapshot copies the full id→assignment view. Assignments themselves are
-// shared pointers, as in the pre-sharded map.
+// shared pointers, as in the pre-sharded map. The copy is sized up front:
+// Loads and LossRate take one per call, and growing it key by key
+// allocated and rehashed it several times over.
 func (st *assignStore) snapshot() map[core.ClassID]*Assignment {
-	out := make(map[core.ClassID]*Assignment)
+	n := 0
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	out := make(map[core.ClassID]*Assignment, n)
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
@@ -280,8 +289,8 @@ func (c *Controller) AddClassBatch(classes []core.Class, opts BatchOptions) erro
 // admitted assignments. Journal events are emitted only from this
 // coordinator, after each parallel stage completes and in index order —
 // never from the worker closures — so the journal stays deterministic.
-// When txn is non-nil, every group table is snapshotted before the
-// parallel apply touches it and the install/remove churn is accounted to
+// When txn is non-nil, every group table is marked before the parallel
+// apply touches it and the install/remove churn is accounted to
 // the transaction.
 func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify bool, txn *RuleTxn) (err error) {
 	if len(admitted) == 0 {
@@ -319,26 +328,48 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 		dev   device
 		table int
 	}
-	groups := make(map[groupKey][]flowtable.BatchOp)
+	slot := make(map[groupKey]int)
 	var order []groupKey
+	var count []int
+	total := 0
 	for _, ops := range staged {
 		for _, op := range ops {
 			k := groupKey{op.dev, op.table}
-			if _, ok := groups[k]; !ok {
+			i, ok := slot[k]
+			if !ok {
+				i = len(order)
+				slot[k] = i
 				order = append(order, k)
+				count = append(count, 0)
 			}
-			groups[k] = append(groups[k], op.op)
+			count[i]++
+			total++
+		}
+	}
+	// Carve every group out of one exactly sized array, so the appends
+	// below never reallocate.
+	all := make([]flowtable.BatchOp, total)
+	groups := make([][]flowtable.BatchOp, len(order))
+	off := 0
+	for i, n := range count {
+		groups[i] = all[off : off : off+n]
+		off += n
+	}
+	for _, ops := range staged {
+		for _, op := range ops {
+			i := slot[groupKey{op.dev, op.table}]
+			groups[i] = append(groups[i], op.op)
 		}
 	}
 	var tables []tableKey
 	sizeBefore := 0
 	if txn != nil {
-		// Pre-image every target table before any worker mutates it, so
-		// a mid-batch failure can restore all of them.
+		// Mark every target table before any worker mutates it, so a
+		// mid-batch failure can roll all of them back.
 		tables = make([]tableKey, len(order))
 		for i, k := range order {
 			tables[i] = tableKey{dev: k.dev, table: k.table}
-			if err := txn.snapshotTable(tables[i]); err != nil {
+			if err := txn.markTable(tables[i]); err != nil {
 				return err
 			}
 		}
@@ -351,7 +382,7 @@ func (c *Controller) installAdmitted(admitted []*Assignment, workers int, verify
 		if err != nil {
 			return err
 		}
-		n, err := t.ApplyBatch(groups[k])
+		n, err := t.ApplyBatch(groups[i])
 		installed[i] = n
 		c.ruleUpdates.Add(int64(n))
 		return err

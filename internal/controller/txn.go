@@ -20,8 +20,8 @@ package controller
 //	             land; an optional audit hook (CheckInvariants in the
 //	             harnesses) runs at every class boundary, proving the
 //	             intermediate states are violation-free.
-//	unwind     — on any error the transaction restores every flow table
-//	             it touched to its pre-image, deletes admitted
+//	unwind     — on any error the transaction rolls every flow table it
+//	             touched back to its undo mark, deletes admitted
 //	             assignments, re-registers replaced/removed ones, cancels
 //	             provisioned instances, and swaps the portion and
 //	             global-tag bookkeeping back wholesale. Controller state
@@ -94,9 +94,11 @@ type RuleTxn struct {
 	// Wholesale pre-images of the small bookkeeping maps.
 	prevPortion    map[vnf.ID]float64
 	prevGlobalTags map[topology.NodeID]map[uint8]bool
-	// Lazy flow-table pre-images, in first-touch order.
-	touched    []tableKey
-	tableSnaps map[tableKey][]flowtable.Rule
+	// Flow-table undo marks, taken at first touch, in touch order. A
+	// mark is O(1): the table's install watermark plus a log of the
+	// rules it removes while the mark is open.
+	marks  []tableMark
+	marked map[tableKey]bool
 	// Assignment-store deltas: classes put during the txn, and the
 	// pre-images of classes replaced or removed.
 	admitted   []core.ClassID
@@ -118,7 +120,7 @@ type RuleTxn struct {
 func (c *Controller) Begin() *RuleTxn {
 	return &RuleTxn{
 		c:          c,
-		tableSnaps: make(map[tableKey][]flowtable.Rule),
+		marked:     make(map[tableKey]bool),
 		prevAssign: make(map[core.ClassID]*Assignment),
 	}
 }
@@ -241,9 +243,12 @@ func (t *RuleTxn) capture() {
 	}
 }
 
-// finish marks a successful commit.
+// finish marks a successful commit and releases the table marks.
 func (t *RuleTxn) finish() {
 	t.finished = true
+	for _, m := range t.marks {
+		m.tbl.Release(m.mark)
+	}
 	metrics.Txn.Committed.Add(1)
 	metrics.Txn.RulesInstalled.Add(int64(t.installed))
 	metrics.Txn.RulesRemoved.Add(int64(t.removed))
@@ -253,7 +258,7 @@ func (t *RuleTxn) finish() {
 }
 
 // unwind restores the controller to its pre-transaction state: flow
-// tables to their pre-images (reverse touch order), admitted classes out
+// tables rolled back to their marks (reverse touch order), admitted classes out
 // of the store, replaced/removed classes back in, provisioned instances
 // cancelled and de-pooled, and the portion/global-tag maps swapped back
 // wholesale.
@@ -262,28 +267,10 @@ func (t *RuleTxn) finish() {
 func (t *RuleTxn) unwind(cause error) {
 	t.finished = true
 	c := t.c
-	restored := 0
-	for i := len(t.touched) - 1; i >= 0; i-- {
-		k := t.touched[i]
-		tbl, err := c.deviceTable(k.dev, k.table)
-		if err != nil {
-			continue
-		}
-		for _, name := range tbl.Names() {
-			tbl.Remove(name)
-		}
-		snap := t.tableSnaps[k]
-		if len(snap) > 0 {
-			ops := make([]flowtable.BatchOp, len(snap))
-			for j, r := range snap {
-				ops[j] = flowtable.BatchOp{Rule: r}
-			}
-			// Re-installing a previously valid rule set into an emptied
-			// table cannot fail validation or capacity.
-			_, _ = tbl.ApplyBatch(ops)
-		}
-		restored++
+	for i := len(t.marks) - 1; i >= 0; i-- {
+		t.marks[i].tbl.Rollback(t.marks[i].mark)
 	}
+	restored := len(t.marks)
 	for i := len(t.admitted) - 1; i >= 0; i-- {
 		c.assign.remove(t.admitted[i])
 	}
@@ -315,17 +302,23 @@ func (t *RuleTxn) fail(point string, id core.ClassID) error {
 	return t.failpoint(fmt.Sprintf("%s:%d", point, id))
 }
 
-// snapshotTable records a table's pre-image before its first mutation.
-func (t *RuleTxn) snapshotTable(k tableKey) error {
-	if _, ok := t.tableSnaps[k]; ok {
+// tableMark is one flow table's undo mark.
+type tableMark struct {
+	tbl  *flowtable.Table
+	mark flowtable.Mark
+}
+
+// markTable opens an undo mark on a table before its first mutation.
+func (t *RuleTxn) markTable(k tableKey) error {
+	if t.marked[k] {
 		return nil
 	}
 	tbl, err := t.c.deviceTable(k.dev, k.table)
 	if err != nil {
 		return err
 	}
-	t.tableSnaps[k] = tbl.Rules()
-	t.touched = append(t.touched, k)
+	t.marked[k] = true
+	t.marks = append(t.marks, tableMark{tbl: tbl, mark: tbl.Mark()})
 	return nil
 }
 
@@ -355,12 +348,12 @@ func distinctTables(ops []stagedOp) []tableKey {
 	return keys
 }
 
-// apply snapshots every table the ops touch and then installs them via
+// apply marks every table the ops touch and then installs them via
 // the serial apply path, accounting installed and removed rules.
 func (t *RuleTxn) apply(ops []stagedOp) (int, error) {
 	keys := distinctTables(ops)
 	for _, k := range keys {
-		if err := t.snapshotTable(k); err != nil {
+		if err := t.markTable(k); err != nil {
 			return 0, err
 		}
 	}
@@ -374,7 +367,7 @@ func (t *RuleTxn) apply(ops []stagedOp) (int, error) {
 	return n, err
 }
 
-// ensurePassBy snapshots the APPLE table of every switch still missing
+// ensurePassBy marks the APPLE table of every switch still missing
 // the shared pass-by rule, then installs through the controller's
 // idempotent path.
 func (t *RuleTxn) ensurePassBy() error {
@@ -386,7 +379,7 @@ func (t *RuleTxn) ensurePassBy() error {
 		if tbl.Has("pass-by") {
 			continue
 		}
-		if err := t.snapshotTable(tableKey{dev: device{node: v}, table: TableAPPLE}); err != nil {
+		if err := t.markTable(tableKey{dev: device{node: v}, table: TableAPPLE}); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,9 @@
 package flowtable
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the compiled data plane: an immutable, cache-friendly
 // matcher built from a table's rule list and published atomically
@@ -16,11 +19,15 @@ import "sort"
 // comparison per rule, making lookup cost a function of distinct shapes
 // (a handful, per Table III) rather than rule count.
 //
-// Tie-breaking is inherited, not re-implemented: the builder keeps the
-// canonical rule slice exactly as the linear table stores it (descending
-// priority, install order within a priority), and a lookup returns the
-// minimum canonical index over all matching rules — the same rule the
-// linear scan's first hit finds, byte for byte.
+// Tie-breaking is inherited, not re-implemented: every installed rule
+// carries a stable rank — priority descending, then the table's install
+// sequence — which is exactly the order the linear table stores its
+// rules in, and a lookup returns the best-ranked rule over all matching
+// tuples: the same rule the linear scan's first hit finds, byte for
+// byte. Because a rank never changes once assigned, an insert renumbers
+// nothing, and publication is incremental: tuples are immutable and
+// shared between snapshots, so a batch builds new copies only of the
+// tuples whose shapes it touches.
 
 // Field-presence bits of a match shape, one per Match field.
 const (
@@ -143,25 +150,245 @@ func ruleKey(m Match, s shapeKey) matchKey {
 }
 
 // tupleHashCutoff is the rule count above which a tuple switches from a
-// contiguous key scan to a hash map. Small tuples stay as flat slices: a
-// handful of 24-byte equality tests over contiguous memory beats a map
-// probe, and most shapes (routing, host-match, pass-by) hold only a few
-// rules per table.
+// contiguous key scan to a hash table. Small tuples stay as flat slices:
+// a handful of 24-byte equality tests over contiguous memory beats a
+// hash probe, and most shapes (routing, host-match, pass-by) hold only a
+// few rules per table.
 const tupleHashCutoff = 8
 
+// rank is a rule's position in match order: higher priority first, then
+// earlier install. Install sequences are unique per table, so ranks are
+// a total order, and they are stable: installing or removing other rules
+// never changes a rule's rank.
+type rank struct {
+	prio int
+	seq  uint64
+}
+
+// before reports whether a precedes b in match order.
+//
+//apple:noalloc
+func (a rank) before(b rank) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
+	}
+	return a.seq < b.seq
+}
+
+// entry is one installed rule: the single stored copy, shared by the
+// table's rule list, every snapshot whose tuples hold it, and the
+// removal log of an open undo mark. It is immutable once installed.
+type entry struct {
+	Rule
+	seq uint64 // per-table install sequence
+}
+
+// rank returns the entry's match-order rank.
+//
+//apple:noalloc
+func (e *entry) rank() rank { return rank{prio: e.Priority, seq: e.seq} }
+
+// byRank orders entries by match order, for slices.SortStableFunc.
+func byRank(a, b *entry) int {
+	switch {
+	case a.rank().before(b.rank()):
+		return -1
+	case b.rank().before(a.rank()):
+		return 1
+	}
+	return 0
+}
+
+// kv is one slot of a hashed tuple: a packed key and the best-ranked
+// rule carrying it.
+type kv struct {
+	k matchKey
+	e *entry
+}
+
+// hash mixes a key into 64 bits for bucket selection (multiply-xorshift:
+// key fields are small structured values that need mixing). A hashed
+// tuple is its own table rather than a Go map so that a batch can copy
+// just the buckets it touches instead of cloning the whole map.
+//
+//apple:noalloc
+func (k matchKey) hash() uint64 {
+	h := k.lo*0x9E3779B97F4A7C15 ^ k.hi*0xC2B2AE3D27D4EB4F ^ uint64(k.port)*0x165667B19E3779F9
+	h ^= h >> 32
+	h *= 0xD6E8FEB86659FD93
+	h ^= h >> 32
+	return h
+}
+
 // tuple is one match shape's compiled rule set. Exactly one of
-// (keys,idx) and m is populated.
+// (keys,ents) and buckets is populated. A published tuple is immutable
+// and may be shared by many snapshots; a batch that touches the shape
+// builds a new tuple instead of editing it.
 type tuple struct {
-	mask             uint8
+	shape            shapeKey
 	srcMask, dstMask uint32
-	// minIdx is the smallest canonical rule index in this tuple — the
-	// best outcome a probe of this tuple can produce. Tuples are sorted
-	// by it, so a lookup stops as soon as the current winner beats every
-	// remaining tuple.
-	minIdx int32
-	keys   []matchKey         // linear tuples: packed rule keys, canonical order
-	idx    []int32            // canonical rule index per key
-	m      map[matchKey]int32 // hashed tuples: key → best canonical index
+	// top is the best rank in this tuple — the best outcome a probe of
+	// it can produce. Snapshots sort tuples by it, so a lookup stops as
+	// soon as the current winner beats every remaining tuple.
+	top  rank
+	keys []matchKey // linear tuples: packed rule keys, match order
+	ents []*entry   // rule per key
+	// buckets is a hashed tuple's table: a power-of-two number of
+	// buckets, key k in buckets[k.hash()&(len-1)], each holding only the
+	// best-ranked rule per key (later duplicates can never win). A
+	// bucket is never written after publication, so a new tuple shares
+	// every bucket a batch leaves alone and an insert copies only the
+	// bucket it lands in.
+	buckets [][]kv
+	n       int // keys in buckets
+}
+
+// newTuple returns an empty tuple of the given shape.
+func newTuple(s shapeKey) *tuple {
+	t := &tuple{shape: s}
+	if s.mask&cSrc != 0 {
+		t.srcMask = prefixMask(s.srcLen)
+	}
+	if s.mask&cDst != 0 {
+		t.dstMask = prefixMask(s.dstLen)
+	}
+	return t
+}
+
+// maxLoad is the average keys per bucket a hashed tuple may reach before
+// a batch re-lays it out over more buckets.
+const maxLoad = 4
+
+// bucketsFor is the bucket count a hashed tuple of n keys is laid out
+// with: a power of two giving at most two keys per bucket, so batches
+// insert into it until the load passes maxLoad and a relayout happens
+// once per doubling.
+func bucketsFor(n int) int {
+	b := 8
+	for 2*b < n {
+		b <<= 1
+	}
+	return b
+}
+
+// with returns a new tuple holding t's rules plus add, which must be in
+// match order and of t's shape; t itself is left untouched. A linear
+// tuple that stays within tupleHashCutoff is merged; a hashed tuple with
+// room copies its bucket array (one slice header per bucket) and only
+// the buckets add lands in; anything else is laid out afresh as a hashed
+// tuple.
+func (t *tuple) with(add []*entry) *tuple {
+	nt := newTuple(t.shape)
+	nt.top = add[0].rank()
+	if len(t.keys)+t.n > 0 && t.top.before(nt.top) {
+		nt.top = t.top
+	}
+	switch n := len(t.keys) + t.n + len(add); {
+	case t.buckets == nil && n <= tupleHashCutoff:
+		nt.mergeLinear(t, add)
+	case t.buckets != nil && n <= maxLoad*len(t.buckets):
+		nt.buckets = slices.Clone(t.buckets)
+		nt.n = t.n
+		for _, e := range add {
+			nt.insert(ruleKey(e.Match, t.shape), e)
+		}
+	default:
+		all := make([]kv, 0, n)
+		for i, k := range t.keys {
+			all = append(all, kv{k, t.ents[i]})
+		}
+		for _, b := range t.buckets {
+			all = append(all, b...)
+		}
+		for _, e := range add {
+			all = append(all, kv{ruleKey(e.Match, t.shape), e})
+		}
+		nt.build(all)
+	}
+	return nt
+}
+
+// mergeLinear fills nt's linear key list with t's and add's rules, in
+// match order.
+func (nt *tuple) mergeLinear(t *tuple, add []*entry) {
+	n := len(t.keys) + len(add)
+	nt.keys = make([]matchKey, 0, n)
+	nt.ents = make([]*entry, 0, n)
+	i := 0
+	for _, e := range add {
+		for i < len(t.ents) && t.ents[i].rank().before(e.rank()) {
+			nt.keys = append(nt.keys, t.keys[i])
+			nt.ents = append(nt.ents, t.ents[i])
+			i++
+		}
+		nt.keys = append(nt.keys, ruleKey(e.Match, t.shape))
+		nt.ents = append(nt.ents, e)
+	}
+	nt.keys = append(nt.keys, t.keys[i:]...)
+	nt.ents = append(nt.ents, t.ents[i:]...)
+}
+
+// build lays out a fresh hashed table over all: the slots are sorted
+// into one array by bucket (a counting sort), and each bucket keeps the
+// best-ranked slot per key.
+func (nt *tuple) build(all []kv) {
+	nt.buckets = make([][]kv, bucketsFor(len(all)))
+	mask := uint64(len(nt.buckets) - 1)
+	start := make([]int, len(nt.buckets)+1)
+	for _, s := range all {
+		start[s.k.hash()&mask+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	arena := make([]kv, len(all))
+	fill := slices.Clone(start[:len(nt.buckets)])
+	for _, s := range all {
+		i := s.k.hash() & mask
+		arena[fill[i]] = s
+		fill[i]++
+	}
+	for i := range nt.buckets {
+		// Compact the bucket's region in place; writes never pass reads.
+		b := arena[start[i]:start[i]]
+	next:
+		for _, s := range arena[start[i]:start[i+1]] {
+			for j := range b {
+				if b[j].k == s.k {
+					if s.e.rank().before(b[j].e.rank()) {
+						b[j] = s
+					}
+					continue next
+				}
+			}
+			b = append(b, s)
+		}
+		nt.buckets[i] = b[:len(b):len(b)] // an append can never reach the next bucket
+		nt.n += len(b)
+	}
+}
+
+// insert adds e under key k to a tuple whose bucket array was just
+// copied, copying the one bucket it touches; a key already present keeps
+// the better-ranked rule.
+func (nt *tuple) insert(k matchKey, e *entry) {
+	i := k.hash() & uint64(len(nt.buckets)-1)
+	b := nt.buckets[i]
+	for j := range b {
+		if b[j].k == k {
+			if e.rank().before(b[j].e.rank()) {
+				b = slices.Clone(b)
+				b[j].e = e
+				nt.buckets[i] = b
+			}
+			return
+		}
+	}
+	nb := make([]kv, len(b)+1)
+	copy(nb, b)
+	nb[len(b)] = kv{k, e}
+	nt.buckets[i] = nb
+	nt.n++
 }
 
 // packetKey packs the packet fields this tuple's shape compares. It is
@@ -171,7 +398,7 @@ type tuple struct {
 //apple:noalloc
 func (t *tuple) packetKey(p *Packet) matchKey {
 	var k matchKey
-	m := t.mask
+	m := t.shape.mask
 	if m&cSrc != 0 {
 		k.lo = uint64(p.Hdr.SrcIP & t.srcMask)
 	}
@@ -199,90 +426,82 @@ func (t *tuple) packetKey(p *Packet) matchKey {
 	return k
 }
 
-// compiledTable is an immutable snapshot of a table's rules plus the
-// tuple-space index over them. Once published via the table's atomic
-// pointer it is never mutated, so readers share it without
-// synchronization.
+// compiledTable is an immutable snapshot of the tuple-space index over a
+// table's rules. Once published via the table's atomic pointer it is
+// never mutated, so readers share it without synchronization.
 type compiledTable struct {
-	rules  []Rule  // canonical order: priority desc, install order within
-	tuples []tuple // sorted ascending by minIdx
+	tuples []*tuple // sorted by top rank, best first
 }
 
-// compile builds the immutable matcher from a canonical rule slice. It
-// runs under the table's write lock but performs no blocking work.
-func compile(rules []Rule) *compiledTable {
-	c := &compiledTable{rules: make([]Rule, len(rules))}
-	copy(c.rules, rules)
-	byShape := make(map[shapeKey]int)
-	for i, r := range c.rules {
-		s := shapeOf(r.Match)
-		ti, ok := byShape[s]
-		if !ok {
-			ti = len(c.tuples)
-			byShape[s] = ti
-			t := tuple{mask: s.mask}
-			if s.mask&cSrc != 0 {
-				t.srcMask = prefixMask(s.srcLen)
-			}
-			if s.mask&cDst != 0 {
-				t.dstMask = prefixMask(s.dstLen)
+// withEntries returns the snapshot that adds the given rules, which must
+// be in match order, to base (nil for an empty table). Tuples of shapes
+// add does not touch are shared with base pointer for pointer; each
+// touched shape gets a new tuple, so publication costs O(batch) plus the
+// touched tuples, not O(table).
+func withEntries(base *compiledTable, add []*entry) *compiledTable {
+	byShape := make(map[shapeKey][]*entry)
+	var fresh []shapeKey // shapes base lacks, in first-appearance order
+	for _, e := range add {
+		s := shapeOf(e.Match)
+		if _, ok := byShape[s]; !ok {
+			fresh = append(fresh, s)
+		}
+		byShape[s] = append(byShape[s], e)
+	}
+	c := &compiledTable{}
+	if base != nil {
+		c.tuples = make([]*tuple, 0, len(base.tuples)+len(byShape))
+		for _, t := range base.tuples {
+			if group, ok := byShape[t.shape]; ok {
+				t = t.with(group)
+				delete(byShape, t.shape)
 			}
 			c.tuples = append(c.tuples, t)
 		}
-		t := &c.tuples[ti]
-		t.keys = append(t.keys, ruleKey(r.Match, s))
-		t.idx = append(t.idx, int32(i))
 	}
-	for i := range c.tuples {
-		t := &c.tuples[i]
-		t.minIdx = t.idx[0]
-		if len(t.idx) > tupleHashCutoff {
-			t.m = make(map[matchKey]int32, len(t.idx))
-			// Ascending canonical order, so the first write per key is
-			// the tuple-best rule; duplicates are unreachable and drop.
-			for n, k := range t.keys {
-				if _, dup := t.m[k]; !dup {
-					t.m[k] = t.idx[n]
-				}
-			}
-			t.keys, t.idx = nil, nil
+	for _, s := range fresh {
+		if group, ok := byShape[s]; ok {
+			c.tuples = append(c.tuples, newTuple(s).with(group))
 		}
 	}
-	sort.Slice(c.tuples, func(a, b int) bool { return c.tuples[a].minIdx < c.tuples[b].minIdx })
+	sort.Slice(c.tuples, func(a, b int) bool { return c.tuples[a].top.before(c.tuples[b].top) })
 	return c
 }
 
-// lookup returns the canonical index of the winning rule, i.e. the
-// minimum index over every tuple's best match — identical to the linear
-// scan's first hit. Probing order is ascending minIdx, so the loop exits
-// as soon as no remaining tuple can beat the current winner.
+// lookup returns the best-ranked matching rule over every tuple —
+// identical to the linear scan's first hit — or nil. Probing order is
+// ascending top rank, so the loop exits as soon as no remaining tuple
+// can beat the current winner.
 //
 //apple:noalloc
-func (c *compiledTable) lookup(p *Packet) (int32, bool) {
-	best := int32(len(c.rules))
-	for i := range c.tuples {
-		t := &c.tuples[i]
-		if t.minIdx >= best {
+func (c *compiledTable) lookup(p *Packet) *entry {
+	var best *entry
+	var bestRank rank
+	for _, t := range c.tuples {
+		if best != nil && !t.top.before(bestRank) {
 			break
 		}
 		k := t.packetKey(p)
-		if t.m != nil {
-			if j, ok := t.m[k]; ok && j < best {
-				best = j
-			}
-			continue
-		}
-		for n := range t.keys {
-			if t.keys[n] == k {
-				if t.idx[n] < best {
-					best = t.idx[n]
+		var hit *entry
+		if t.buckets != nil {
+			b := t.buckets[k.hash()&uint64(len(t.buckets)-1)]
+			for n := range b {
+				if b[n].k == k {
+					hit = b[n].e
+					break
 				}
-				break
+			}
+		} else {
+			for n := range t.keys {
+				if t.keys[n] == k {
+					hit = t.ents[n]
+					break
+				}
 			}
 		}
+		if hit != nil && (best == nil || hit.rank().before(bestRank)) {
+			best, bestRank = hit, hit.rank()
+		}
 	}
-	if best == int32(len(c.rules)) {
-		return 0, false
-	}
-	return best, true
+	return best
 }

@@ -154,7 +154,7 @@ func TestCompiledHashedTuple(t *testing.T) {
 		}
 	}
 	c := tbl.compiled.Load()
-	if c == nil || len(c.tuples) != 1 || c.tuples[0].m == nil {
+	if c == nil || len(c.tuples) != 1 || c.tuples[0].buckets == nil {
 		t.Fatalf("expected one hashed tuple, got %+v", c)
 	}
 	for i := 0; i < n; i++ {
@@ -337,8 +337,9 @@ func TestLookupZeroAllocs(t *testing.T) {
 }
 
 // TestRemoveZeroesCompactionTail checks the memory-retention fix: after
-// a remove, the backing array beyond the kept rules holds only zero
-// Rules, so dropped Action slices and name strings are unreachable.
+// a remove, the backing array beyond the kept rules holds only nil
+// entries, so dropped rules (Action slices, name strings) are
+// unreachable.
 func TestRemoveZeroesCompactionTail(t *testing.T) {
 	tbl := NewTable()
 	for i := 0; i < 8; i++ {
@@ -355,9 +356,9 @@ func TestRemoveZeroesCompactionTail(t *testing.T) {
 		t.Fatalf("removed %d, want 4", removed)
 	}
 	tail := tbl.rules[len(tbl.rules):cap(tbl.rules)]
-	for i, r := range tail {
-		if r.Name != "" || r.Actions != nil {
-			t.Fatalf("tail slot %d not zeroed: %+v", i, r)
+	for i, e := range tail {
+		if e != nil {
+			t.Fatalf("tail slot %d not zeroed: %+v", i, e.Rule)
 		}
 	}
 }

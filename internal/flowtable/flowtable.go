@@ -9,7 +9,7 @@ package flowtable
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -191,22 +191,37 @@ type Rule struct {
 
 // Table is one flow table: an ordered rule list, optionally bounded by a
 // TCAM capacity. Tables are safe for concurrent use, and the forwarding
-// path is wait-free: mutators (Install, Remove, ApplyBatch) serialize on
-// a write lock, rebuild the compiled tuple-space matcher, and publish it
-// as an immutable snapshot through an atomic pointer; Lookup and
+// path is wait-free: mutators (Install, Remove, ApplyBatch, Rollback)
+// serialize on a write lock, publish a new compiled tuple-space matcher
+// as an immutable snapshot through an atomic pointer, and Lookup and
 // Pipeline.Process read whichever snapshot is current and never block,
 // even while a writer holds the lock (Lookup-while-Install becomes a
 // linearizable snapshot read). Batched installs (ApplyBatch) coalesce a
 // whole update into one critical section and one snapshot publication,
 // so readers observe either the pre-batch or the post-batch table, never
 // a mid-batch state.
+//
+// Every installed rule gets the next value of a per-table install
+// sequence, and match order is (priority descending, sequence
+// ascending). A batch of inserts therefore merges into the rule list in
+// one pass and republishes only the tuples whose shapes it touches; a
+// remove republishes the whole index. An undo Mark is the sequence
+// watermark plus a log of the rules removed while it is open, so taking
+// one is O(1) and Rollback re-inserts the logged rules with their
+// original sequence numbers, restoring the exact Rules() order.
 type Table struct {
 	mu    sync.RWMutex
-	rules []Rule // guarded by mu
+	rules []*entry // guarded by mu; match order
 	// nameCount tracks how many installed rules carry each name, so
 	// presence checks and absent-name removes are O(1) instead of a rule
 	// scan (which made SkipIfPresent-heavy batches quadratic).
 	nameCount map[string]int // guarded by mu
+	// nextSeq is the install sequence the next rule gets.
+	nextSeq uint64 // guarded by mu
+	// marks counts open undo marks; while any is open, removed rules are
+	// appended to removedLog so Rollback can put them back.
+	marks      int      // guarded by mu
+	removedLog []*entry // guarded by mu
 	// compiled is the current immutable matcher snapshot; nil only before
 	// the first publication (an empty table). Mutators republish under
 	// mu; readers Load without any lock.
@@ -264,33 +279,63 @@ func (t *Table) lock() {
 	t.mu.Lock()
 }
 
-// publishLocked rebuilds the compiled matcher from the current rule list
-// and swaps it in atomically. Callers hold mu (write), which serializes
-// publications; readers pick up the new snapshot on their next Load.
-func (t *Table) publishLocked() {
-	t.compiled.Store(compile(t.rules))
+// publishLocked merges added (rules installed since the last
+// publication, in install order) into the rule list and swaps in a new
+// compiled snapshot. After a remove (rebuild) the snapshot is rebuilt
+// from the whole rule list; otherwise only the tuples added touches are
+// rebuilt. Callers hold mu (write), which serializes publications;
+// readers pick up the new snapshot on their next Load.
+func (t *Table) publishLocked(added []*entry, rebuild bool) {
+	if len(added) == 0 && !rebuild {
+		return
+	}
+	slices.SortStableFunc(added, byRank)
+	t.rules = mergeRanked(t.rules, added)
+	if rebuild {
+		t.compiled.Store(withEntries(nil, t.rules))
+	} else {
+		t.compiled.Store(withEntries(t.compiled.Load(), added))
+	}
 	metrics.FlowSetup.TableCompiles.Add(1)
 }
 
-// installLocked adds a rule, keeping rules sorted by descending priority
-// (stable, so equal priorities keep install order). Callers hold mu and
-// republish the compiled snapshot before unlocking.
-func (t *Table) installLocked(r Rule) error {
-	if t.capacity > 0 && len(t.rules) >= t.capacity {
-		return fmt.Errorf("%w: %d entries", ErrTCAMFull, t.capacity)
+// mergeRanked merges add into rules, both in match order, in place from
+// the back: rules ranked ahead of every added rule do not move.
+func mergeRanked(rules, add []*entry) []*entry {
+	if len(add) == 0 {
+		return rules
+	}
+	i, j := len(rules)-1, len(add)-1
+	rules = slices.Grow(rules, len(add))[:len(rules)+len(add)]
+	for k := len(rules) - 1; j >= 0; k-- {
+		if i >= 0 && add[j].rank().before(rules[i].rank()) {
+			rules[k] = rules[i]
+			i--
+		} else {
+			rules[k] = add[j]
+			j--
+		}
+	}
+	return rules
+}
+
+// newEntryLocked validates a rule and stores it as the next install,
+// counting pending (installed but not yet merged) rules toward the
+// capacity. Callers hold mu and pass the entry to publishLocked.
+func (t *Table) newEntryLocked(r Rule, pending int) (*entry, error) {
+	if t.capacity > 0 && len(t.rules)+pending >= t.capacity {
+		return nil, fmt.Errorf("%w: %d entries", ErrTCAMFull, t.capacity)
 	}
 	if err := validateRule(r); err != nil {
-		return err
+		return nil, err
 	}
-	idx := sort.Search(len(t.rules), func(i int) bool { return t.rules[i].Priority < r.Priority })
-	t.rules = append(t.rules, Rule{})
-	copy(t.rules[idx+1:], t.rules[idx:])
-	t.rules[idx] = r
+	e := &entry{Rule: r, seq: t.nextSeq}
+	t.nextSeq++
 	if t.nameCount == nil {
 		t.nameCount = make(map[string]int)
 	}
 	t.nameCount[r.Name]++
-	return nil
+	return e, nil
 }
 
 // Install adds a rule, keeping rules sorted by descending priority
@@ -298,10 +343,11 @@ func (t *Table) installLocked(r Rule) error {
 func (t *Table) Install(r Rule) error {
 	t.lock()
 	defer t.mu.Unlock()
-	if err := t.installLocked(r); err != nil {
+	e, err := t.newEntryLocked(r, 0)
+	if err != nil {
 		return err
 	}
-	t.publishLocked()
+	t.publishLocked([]*entry{e}, false)
 	return nil
 }
 
@@ -310,34 +356,32 @@ func (t *Table) Install(r Rule) error {
 func (t *Table) Remove(name string) int {
 	t.lock()
 	defer t.mu.Unlock()
-	removed := t.removeLocked(name)
+	removed := t.nameCount[name]
 	if removed > 0 {
-		t.publishLocked()
+		t.removeLocked(name, nil)
+		t.publishLocked(nil, true)
 	}
 	return removed
 }
 
-// removeLocked deletes all rules with the given name. Callers hold mu
-// and republish the compiled snapshot if anything was removed.
-func (t *Table) removeLocked(name string) int {
-	removed := t.nameCount[name]
-	if removed == 0 {
-		return 0
-	}
-	kept := t.rules[:0]
-	for _, r := range t.rules {
-		if r.Name == name {
-			continue
+// removeLocked deletes every rule with the given name from the rule list
+// and from pending (rules installed by the running batch, not yet
+// merged), logging the removed list rules while an undo mark is open.
+// It returns the filtered pending slice. Callers hold mu, check that the
+// name is present, and republish.
+func (t *Table) removeLocked(name string, pending []*entry) []*entry {
+	t.rules = slices.DeleteFunc(t.rules, func(e *entry) bool {
+		if e.Name != name {
+			return false
 		}
-		kept = append(kept, r)
-	}
-	// Zero the compaction tail: the dropped Rule values (Action slices,
-	// name strings) would otherwise stay reachable through the backing
-	// array and never be collected.
-	clear(t.rules[len(kept):])
-	t.rules = kept
+		if t.marks > 0 {
+			t.removedLog = append(t.removedLog, e)
+		}
+		return true
+	})
 	delete(t.nameCount, name)
-	return removed
+	// Pending rules postdate every open mark, so nothing to log.
+	return slices.DeleteFunc(pending, func(e *entry) bool { return e.Name == name })
 }
 
 // BatchOp is one step of an ApplyBatch. A non-empty Remove deletes every
@@ -366,19 +410,15 @@ func (t *Table) ApplyBatch(ops []BatchOp) (installed int, err error) {
 		return 0, nil
 	}
 	t.lock()
-	dirty := false
+	var added []*entry
+	rebuild := false
 	defer t.mu.Unlock()
-	defer func() {
-		if dirty {
-			t.publishLocked()
-		}
-	}()
+	defer func() { t.publishLocked(added, rebuild) }()
 	metrics.FlowSetup.BatchInstalls.Add(1)
 	for _, op := range ops {
-		if op.Remove != "" {
-			if t.removeLocked(op.Remove) > 0 {
-				dirty = true
-			}
+		if op.Remove != "" && t.hasLocked(op.Remove) {
+			added = t.removeLocked(op.Remove, added)
+			rebuild = true
 		}
 		if len(op.Rule.Actions) == 0 && op.Rule.Name == "" {
 			continue // remove-only op
@@ -387,14 +427,85 @@ func (t *Table) ApplyBatch(ops []BatchOp) (installed int, err error) {
 			metrics.FlowSetup.SkippedRules.Add(1)
 			continue
 		}
-		if err := t.installLocked(op.Rule); err != nil {
+		e, err := t.newEntryLocked(op.Rule, len(added))
+		if err != nil {
 			return installed, err
 		}
-		dirty = true
+		added = append(added, e)
 		installed++
 	}
 	metrics.FlowSetup.InstalledRules.Add(int64(installed))
 	return installed, nil
+}
+
+// Mark is an undo point of one table, taken by Table.Mark and closed by
+// exactly one Rollback or Release. Marks on one table nest: close them
+// innermost first.
+type Mark struct {
+	seq uint64 // install watermark: rules with seq >= it came later
+	log int    // removal-log length when the mark was taken
+}
+
+// Mark opens an undo point in O(1): it records the install watermark and
+// starts logging removed rules, so Rollback can restore the table's
+// exact contents and order without a copy of the rules.
+func (t *Table) Mark() Mark {
+	t.lock()
+	defer t.mu.Unlock()
+	t.marks++
+	return Mark{seq: t.nextSeq, log: len(t.removedLog)}
+}
+
+// Release closes a mark, keeping every change made since it was taken.
+func (t *Table) Release(m Mark) {
+	t.lock()
+	defer t.mu.Unlock()
+	t.closeMarkLocked()
+}
+
+// Rollback restores the table to its state when m was taken and closes
+// the mark: rules installed since are removed, and rules removed since
+// are re-inserted with their original install sequence, so Rules()
+// returns exactly what it returned at Mark.
+func (t *Table) Rollback(m Mark) {
+	t.lock()
+	defer t.mu.Unlock()
+	changed := false
+	t.rules = slices.DeleteFunc(t.rules, func(e *entry) bool {
+		if e.seq < m.seq {
+			return false
+		}
+		if t.nameCount[e.Name]--; t.nameCount[e.Name] == 0 {
+			delete(t.nameCount, e.Name)
+		}
+		changed = true
+		return true
+	})
+	var back []*entry
+	for _, e := range t.removedLog[m.log:] {
+		if e.seq < m.seq {
+			back = append(back, e)
+			t.nameCount[e.Name]++
+		}
+	}
+	clear(t.removedLog[m.log:])
+	t.removedLog = t.removedLog[:m.log]
+	t.closeMarkLocked()
+	if changed || len(back) > 0 {
+		t.publishLocked(back, true)
+	}
+}
+
+// closeMarkLocked closes one open mark; once none is open, the removal
+// log is dropped and logging stops. Callers hold mu.
+func (t *Table) closeMarkLocked() {
+	if t.marks == 0 {
+		return
+	}
+	t.marks--
+	if t.marks == 0 {
+		t.removedLog = nil
+	}
 }
 
 // Size returns the number of installed rules — the TCAM entry count this
@@ -427,7 +538,9 @@ func (t *Table) Rules() []Rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Rule, len(t.rules))
-	copy(out, t.rules)
+	for i, e := range t.rules {
+		out[i] = e.Rule
+	}
 	return out
 }
 
@@ -451,11 +564,11 @@ func (t *Table) lookupPtr(p *Packet) (Rule, bool) {
 	if c == nil {
 		return Rule{}, false
 	}
-	i, ok := c.lookup(p)
-	if !ok {
+	e := c.lookup(p)
+	if e == nil {
 		return Rule{}, false
 	}
-	return c.rules[i], true
+	return e.Rule, true
 }
 
 // LookupLinear is the reference matcher: the ternary linear scan over
@@ -466,9 +579,9 @@ func (t *Table) lookupPtr(p *Packet) (Rule, bool) {
 func (t *Table) LookupLinear(p Packet) (Rule, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, r := range t.rules {
-		if r.Match.Matches(p) {
-			return r, true
+	for _, e := range t.rules {
+		if e.Match.Matches(p) {
+			return e.Rule, true
 		}
 	}
 	return Rule{}, false
