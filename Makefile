@@ -116,6 +116,8 @@ trace-smoke:
 	$(GO) run ./cmd/appletrace -shards 4 -journal shard_trace.jsonl -metrics shard_metrics.json
 	$(GO) test -run 'TestChurnTrace' ./internal/experiments
 
+# clean removes untracked build and run outputs only; the committed BENCH_*
+# reports and churn_* trace artifacts are regenerated by their own targets.
 clean:
 	$(GO) clean ./...
-	rm -f lint_findings.txt BENCH_lp.json BENCH_dataplane.json BENCH_reopt.json coverage.out churn_trace.jsonl churn_metrics.json shard_trace.jsonl shard_metrics.json
+	rm -f lint_findings.txt coverage.out shard_trace.jsonl shard_metrics.json

@@ -36,8 +36,9 @@ type EngineOptions struct {
 	// MaxRepairRounds bounds the round-and-repair loop (default 25).
 	MaxRepairRounds int
 	// MaxAffinityRounds bounds anti-affinity evictions per solve (default
-	// 64). Each eviction zeroes one q variable and warm re-solves, and can
-	// surface new resource violations, so the cap is generous.
+	// 64, the cap the incremental engine always uses). Each eviction
+	// zeroes one q variable and warm re-solves, and can surface new
+	// resource violations, so the cap is generous.
 	MaxAffinityRounds int
 	// MaxVariantSolves bounds the total number of full solves spent on
 	// partial-order chain-variant selection (default 16). The first solve
@@ -55,13 +56,20 @@ type Engine struct {
 	opts EngineOptions
 }
 
+// Repair-search limits shared by both engines.
+const (
+	defaultRepairRounds = 25
+	// maxAffinityEvictions caps anti-affinity evictions per solve.
+	maxAffinityEvictions = 64
+)
+
 // NewEngine creates an engine.
 func NewEngine(opts EngineOptions) *Engine {
 	if opts.MaxRepairRounds <= 0 {
-		opts.MaxRepairRounds = 25
+		opts.MaxRepairRounds = defaultRepairRounds
 	}
 	if opts.MaxAffinityRounds <= 0 {
-		opts.MaxAffinityRounds = 64
+		opts.MaxAffinityRounds = maxAffinityEvictions
 	}
 	if opts.MaxVariantSolves <= 0 {
 		opts.MaxVariantSolves = 16
@@ -80,7 +88,10 @@ type model struct {
 	m *lp.Model
 	// dVar[classIdx][hopIdx][chainIdx]; -1 where the hop cannot host.
 	dVar [][][]lp.VarID
-	qVar map[qKey]lp.VarID
+	// rVar[classIdx] is the class's rate column, pinned by its bounds.
+	rVar  []lp.VarID
+	qVar  map[qKey]lp.VarID
+	qKeys []qKey // qVar's keys in (switch, NF) order
 }
 
 // Solve runs the Optimization Engine on the problem and returns a
@@ -206,7 +217,7 @@ func cloneClasses(p *Problem) *Problem {
 // switch coloring). It returns the placement (without SolveTime) and the
 // simplex pivots spent.
 func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, int, error) {
-	md, err := buildModel(prob, caps, e.opts.ExplicitSigma)
+	md, err := buildModel(prob, caps, e.opts.ExplicitSigma, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -226,7 +237,8 @@ func (e *Engine) solveFixed(prob *Problem, caps map[qKey]float64) (*Placement, i
 	if e.opts.Exact {
 		counts = extractCounts(md, &sol, false)
 	} else {
-		r := &repairer{e: e, prob: prob, md: md, solver: solver}
+		r := &repairer{prob: prob, md: md, solver: solver,
+			maxRounds: e.opts.MaxRepairRounds, maxEvicts: e.opts.MaxAffinityRounds, tracer: e.opts.Tracer}
 		counts, err = r.repair(sol)
 		iters += r.iters
 		if err != nil {
@@ -265,22 +277,26 @@ var errRepairAbort = errors.New("core: repair aborted")
 // the solver falls back to a cold solve on its own when the warm start is
 // rejected. Without anti-affinity pairs the search degenerates to exactly
 // the historical linear repair loop (same candidate order, same caps,
-// same re-solves) on every success path.
+// same re-solves) on every success path. Engine.Solve and
+// IncrementalEngine.Place both run it.
 type repairer struct {
-	e      *Engine
-	prob   *Problem
-	md     *model
-	solver *lp.Solver
-	sol    lp.Solution // solution at the accepted leaf
-	iters  int
-	rounds int // resource caps applied (monotone across backtracking)
-	evicts int // anti-affinity evictions attempted (monotone)
+	prob      *Problem
+	md        *model
+	solver    *lp.Solver
+	maxRounds int
+	maxEvicts int
+	tracer    *trace.Recorder
+	sol       lp.Solution // solution at the accepted leaf
+	iters     int         // re-solve pivots
+	dualIters int         // dual-simplex share of iters
+	rounds    int         // resource caps applied (monotone across backtracking)
+	evicts    int         // anti-affinity evictions attempted (monotone)
 }
 
 func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]int, error) {
 	counts := extractCounts(r.md, &sol, true)
 	if violSwitch, ok := findViolatedSwitch(r.prob, counts); ok {
-		if r.rounds >= r.e.opts.MaxRepairRounds {
+		if r.rounds >= r.maxRounds {
 			return nil, fmt.Errorf("core: could not repair resource violation at switch %d after %d rounds",
 				violSwitch, r.rounds)
 		}
@@ -310,7 +326,7 @@ func (r *repairer) repair(sol lp.Solution) (map[topology.NodeID]map[policy.NF]in
 		r.sol = sol
 		return counts, nil
 	}
-	if r.evicts >= r.e.opts.MaxAffinityRounds {
+	if r.evicts >= r.maxEvicts {
 		return nil, fmt.Errorf("core: could not separate anti-affine pair %v at switch %d after %d evictions",
 			pair, violSwitch, r.evicts)
 	}
@@ -342,8 +358,9 @@ func (r *repairer) descend(sol lp.Solution, key qKey, newCap float64, violSwitch
 	sol2, err := r.solver.ReSolve()
 	recordSolve(&sol2, true)
 	r.iters += sol2.Iterations
-	if r.e.opts.Tracer.Enabled() {
-		r.e.opts.Tracer.Emit(trace.Ev(trace.KindLPResolve).
+	r.dualIters += sol2.DualIterations
+	if r.tracer.Enabled() {
+		r.tracer.Emit(trace.Ev(trace.KindLPResolve).
 			WithNode(int64(violSwitch)).
 			WithVal(int64(sol2.TotalPivots())).
 			WithErr(err))
@@ -369,18 +386,48 @@ func (r *repairer) descend(sol lp.Solution, key qKey, newCap float64, violSwitch
 // buildModel constructs the LP/ILP of §IV-D — σ-eliminated by default,
 // with explicit σ variables when explicitSigma is set. caps optionally
 // adds upper bounds on selected q variables (used by the repair loop).
-func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*model, error) {
+//
+// Every class h gets a rate column r_h whose bounds pin it, and Eq. (4)
+// reads Σ_i d − r = 0, so the class rate T_h lives in exactly one place:
+//
+//   - cold form (parametric false): r_h = 1 and T_h is the Eq. (5)
+//     coefficient of each d — the model as the paper writes it;
+//   - parametric form: r_h = T_h and every Eq. (5) coefficient is 1, so d
+//     is absolute flow (Mbps) and every coefficient is rate-independent. A
+//     new traffic snapshot is then purely a change of the r bounds, which
+//     the dual simplex repairs from the previous basis (IncrementalEngine).
+//
+// Columns and rows are emitted in a fixed order (classes in problem order,
+// q and the Eq. (5)/(6) rows in (switch, NF) order), so the tableau layout
+// — and hence the pivot count — is a function of the problem alone.
+func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma, parametric bool) (*model, error) {
 	m := lp.NewModel("apple-placement")
-	md := &model{m: m, qVar: make(map[qKey]lp.VarID)}
-	md.dVar = make([][][]lp.VarID, len(prob.Classes))
+	md := &model{
+		m:    m,
+		dVar: make([][][]lp.VarID, len(prob.Classes)),
+		rVar: make([]lp.VarID, len(prob.Classes)),
+		qVar: make(map[qKey]lp.VarID),
+	}
+	wrap := func(err error) error { return fmt.Errorf("core: %w", err) }
 
-	// Which (v, nf) pairs are needed at all.
-	needed := make(map[qKey]bool)
+	// potential[k] is the total rate of classes that could run k's NF at
+	// k's switch; loads[k] collects k's Eq. (5) terms.
+	potential := make(map[qKey]float64)
+	loads := make(map[qKey][]lp.Term)
 	for ci, c := range prob.Classes {
 		hops := prob.eligibleHops(c)
 		if len(hops) == 0 {
 			return nil, fmt.Errorf("core: class %d has no APPLE host on its path", c.ID)
 		}
+		r, coef := 1.0, c.RateMbps
+		if parametric {
+			r, coef = c.RateMbps, 1
+		}
+		rv, err := m.AddVariable(fmt.Sprintf("r[%d]", c.ID), r, r, 0)
+		if err != nil {
+			return nil, wrap(err)
+		}
+		md.rVar[ci] = rv
 		md.dVar[ci] = make([][]lp.VarID, len(c.Path))
 		for i := range c.Path {
 			md.dVar[ci][i] = make([]lp.VarID, len(c.Chain))
@@ -390,41 +437,42 @@ func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*mode
 		}
 		for _, i := range hops {
 			for j, nf := range c.Chain {
-				name := fmt.Sprintf("d[%d][%d][%d]", c.ID, i, j)
-				// Upper bound 1 is implied by Eq. (4) + non-negativity;
+				// Upper bound r is implied by Eq. (4) + non-negativity;
 				// leaving it off keeps the tableau smaller.
-				v, err := m.AddVariable(name, 0, math.Inf(1), 0)
+				v, err := m.AddVariable(fmt.Sprintf("d[%d][%d][%d]", c.ID, i, j), 0, math.Inf(1), 0)
 				if err != nil {
-					return nil, fmt.Errorf("core: %w", err)
+					return nil, wrap(err)
 				}
 				md.dVar[ci][i][j] = v
-				needed[qKey{v: c.Path[i], nf: nf}] = true
+				key := qKey{v: c.Path[i], nf: nf}
+				potential[key] += c.RateMbps
+				loads[key] = append(loads[key], lp.Term{Var: v, Coef: coef})
 			}
 		}
 	}
+
 	// Consolidation bias: the pure Σq objective is degenerate — any split
 	// of a class's load across its path costs the same fractional q, so
 	// the LP may scatter load, and integer rounding then opens one
 	// instance per scattered shard. A tiny per-(v,nf) perturbation makes
-	// switches with more multiplexable demand (total rate of classes
-	// passing v and needing nf) strictly cheaper, so degenerate optima
-	// consolidate. The perturbation is far below 1, so the instance total
-	// is still minimized first.
-	potential := make(map[qKey]float64)
+	// switches with more multiplexable demand strictly cheaper, so
+	// degenerate optima consolidate. The perturbation is far below 1, so
+	// the instance total is still minimized first. It is computed from the
+	// problem's RateMbps in both forms, so the incremental engine keeps its
+	// universe's bias across snapshots.
 	maxPotential := 0.0
-	for _, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for _, nf := range c.Chain {
-				k := qKey{v: c.Path[i], nf: nf}
-				potential[k] += c.RateMbps
-				if potential[k] > maxPotential {
-					maxPotential = potential[k]
-				}
-			}
-		}
+	for key, p := range potential {
+		md.qKeys = append(md.qKeys, key)
+		maxPotential = math.Max(maxPotential, p)
 	}
-	for key := range needed {
-		name := fmt.Sprintf("q[%d][%v]", key.v, key.nf)
+	sort.Slice(md.qKeys, func(i, j int) bool {
+		a, b := md.qKeys[i], md.qKeys[j]
+		if a.v != b.v {
+			return a.v < b.v
+		}
+		return a.nf < b.nf
+	})
+	for _, key := range md.qKeys {
 		hi := math.Inf(1)
 		if c, ok := caps[key]; ok {
 			hi = c
@@ -434,12 +482,12 @@ func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*mode
 			obj += 1e-3 * (1 - potential[key]/maxPotential)
 		}
 		obj += 1e-7 * float64(key.v) // deterministic tie break
-		v, err := m.AddVariable(name, 0, hi, obj)
+		v, err := m.AddVariable(fmt.Sprintf("q[%d][%v]", key.v, key.nf), 0, hi, obj)
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, wrap(err)
 		}
 		if err := m.SetInteger(v); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, wrap(err)
 		}
 		md.qVar[key] = v
 	}
@@ -452,14 +500,15 @@ func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*mode
 			}
 			continue
 		}
-		// Eq. (4): every chain position processes 100% of the class.
+		// Eq. (4): every chain position processes all of the class.
 		for j := range c.Chain {
-			terms := make([]lp.Term, 0, len(hops))
+			terms := make([]lp.Term, 0, len(hops)+1)
 			for _, i := range hops {
 				terms = append(terms, lp.Term{Var: md.dVar[ci][i][j], Coef: 1})
 			}
-			if err := m.AddConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 1, terms...); err != nil {
-				return nil, fmt.Errorf("core: %w", err)
+			terms = append(terms, lp.Term{Var: md.rVar[ci], Coef: -1})
+			if err := m.AddConstraint(fmt.Sprintf("full[%d][%d]", c.ID, j), lp.EQ, 0, terms...); err != nil {
+				return nil, wrap(err)
 			}
 		}
 		// Eq. (3): σ_{j-1}^i ≥ σ_j^i at every eligible hop, with σ
@@ -474,71 +523,47 @@ func buildModel(prob *Problem, caps map[qKey]float64, explicitSigma bool) (*mode
 				}
 				name := fmt.Sprintf("order[%d][%d][%d]", c.ID, i, j)
 				if err := m.AddConstraint(name, lp.GE, 0, terms...); err != nil {
-					return nil, fmt.Errorf("core: %w", err)
+					return nil, wrap(err)
 				}
 			}
 		}
 	}
 
 	// Eq. (5): per-(v,nf) capacity couples d to q.
-	type loadTerm struct {
-		d    lp.VarID
-		rate float64
-	}
-	loads := make(map[qKey][]loadTerm)
-	for ci, c := range prob.Classes {
-		for _, i := range prob.eligibleHops(c) {
-			for j, nf := range c.Chain {
-				key := qKey{v: c.Path[i], nf: nf}
-				loads[key] = append(loads[key], loadTerm{d: md.dVar[ci][i][j], rate: c.RateMbps})
-			}
-		}
-	}
-	for key, ts := range loads {
+	for _, key := range md.qKeys {
 		spec, err := policy.SpecOf(key.nf)
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, wrap(err)
 		}
-		terms := make([]lp.Term, 0, len(ts)+1)
-		for _, t := range ts {
-			terms = append(terms, lp.Term{Var: t.d, Coef: t.rate})
-		}
-		terms = append(terms, lp.Term{Var: md.qVar[key], Coef: -spec.CapacityMbps})
-		name := fmt.Sprintf("cap[%d][%v]", key.v, key.nf)
-		if err := m.AddConstraint(name, lp.LE, 0, terms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		terms := append(loads[key], lp.Term{Var: md.qVar[key], Coef: -spec.CapacityMbps})
+		if err := m.AddConstraint(fmt.Sprintf("cap[%d][%v]", key.v, key.nf), lp.LE, 0, terms...); err != nil {
+			return nil, wrap(err)
 		}
 	}
 
-	// Eq. (6): per-switch resources, one row per resource dimension.
-	byswitch := make(map[topology.NodeID][]qKey)
-	for key := range md.qVar {
-		byswitchAppend(byswitch, key)
-	}
-	for v, keys := range byswitch {
-		avail := prob.Avail[v]
-		coreTerms := make([]lp.Term, 0, len(keys))
-		memTerms := make([]lp.Term, 0, len(keys))
-		for _, key := range keys {
+	// Eq. (6): per-switch resources, one row per resource dimension. qKeys
+	// is switch-major, so each switch's keys form one run.
+	for lo := 0; lo < len(md.qKeys); {
+		v := md.qKeys[lo].v
+		var coreTerms, memTerms []lp.Term
+		for ; lo < len(md.qKeys) && md.qKeys[lo].v == v; lo++ {
+			key := md.qKeys[lo]
 			spec, err := policy.SpecOf(key.nf)
 			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
+				return nil, wrap(err)
 			}
 			coreTerms = append(coreTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.Cores)})
 			memTerms = append(memTerms, lp.Term{Var: md.qVar[key], Coef: float64(spec.MemoryMB)})
 		}
+		avail := prob.Avail[v]
 		if err := m.AddConstraint(fmt.Sprintf("cores[%d]", v), lp.LE, float64(avail.Cores), coreTerms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, wrap(err)
 		}
 		if err := m.AddConstraint(fmt.Sprintf("mem[%d]", v), lp.LE, float64(avail.MemoryMB), memTerms...); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, wrap(err)
 		}
 	}
 	return md, nil
-}
-
-func byswitchAppend(m map[topology.NodeID][]qKey, key qKey) {
-	m[key.v] = append(m[key.v], key)
 }
 
 // extractCounts reads q values; when roundUp is set, fractional LP values
@@ -565,10 +590,15 @@ func extractCounts(md *model, sol *lp.Solution, roundUp bool) map[topology.NodeI
 }
 
 // extractDist reads the d values back into per-class matrices, cleaning
-// numerical noise so each chain position sums to exactly 1.
+// numerical noise so each chain position sums to exactly 1 (this also
+// turns the parametric form's absolute flows into fractions). A class
+// whose rate column is pinned at 0 is inactive and omitted.
 func extractDist(prob *Problem, md *model, sol *lp.Solution) map[ClassID][][]float64 {
 	out := make(map[ClassID][][]float64, len(prob.Classes))
 	for ci, c := range prob.Classes {
+		if _, r, _ := md.m.Bounds(md.rVar[ci]); r <= 0 {
+			continue
+		}
 		dist := make([][]float64, len(c.Path))
 		for i := range c.Path {
 			dist[i] = make([]float64, len(c.Chain))
@@ -688,20 +718,14 @@ func exclusionPairs(prob *Problem, md *model) [][2]lp.VarID {
 	if len(prob.AntiAffinity) == 0 {
 		return nil
 	}
-	switches := make(map[topology.NodeID]bool)
-	for key := range md.qVar {
-		switches[key.v] = true
-	}
-	ordered := make([]topology.NodeID, 0, len(switches))
-	for v := range switches {
-		ordered = append(ordered, v)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
 	var out [][2]lp.VarID
-	for _, v := range ordered {
+	for k, key := range md.qKeys {
+		if k > 0 && md.qKeys[k-1].v == key.v {
+			continue // one pass per switch
+		}
 		for _, pr := range prob.AntiAffinity {
-			qa, oka := md.qVar[qKey{v: v, nf: pr.A}]
-			qb, okb := md.qVar[qKey{v: v, nf: pr.B}]
+			qa, oka := md.qVar[qKey{v: key.v, nf: pr.A}]
+			qb, okb := md.qVar[qKey{v: key.v, nf: pr.B}]
 			if oka && okb {
 				out = append(out, [2]lp.VarID{qa, qb})
 			}
@@ -713,7 +737,7 @@ func exclusionPairs(prob *Problem, md *model) [][2]lp.VarID {
 // addSigmaConstraints models Eqs. (2)-(4) with explicit cumulative
 // variables, exactly as the paper writes them: σ_{h,j}^i = σ_{h,j}^{i-1} +
 // d_{h,j}^i (Eq. 2), σ_{h,j-1}^i ≥ σ_{h,j}^i (Eq. 3), σ at the last hop
-// equals 1 (Eq. 4).
+// equals the rate column, 1 in the cold form (Eq. 4).
 func addSigmaConstraints(m *lp.Model, md *model, ci int, c Class, hops []int) error {
 	nPos := len(c.Chain)
 	sigma := make([][]lp.VarID, len(hops))
@@ -753,8 +777,9 @@ func addSigmaConstraints(m *lp.Model, md *model, ci int, c Class, hops []int) er
 		}
 		// Eq. (4): fully processed by the last hop.
 		name := fmt.Sprintf("full[%d][%d]", c.ID, j)
-		if err := m.AddConstraint(name, lp.EQ, 1,
-			lp.Term{Var: sigma[len(hops)-1][j], Coef: 1}); err != nil {
+		if err := m.AddConstraint(name, lp.EQ, 0,
+			lp.Term{Var: sigma[len(hops)-1][j], Coef: 1},
+			lp.Term{Var: md.rVar[ci], Coef: -1}); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}

@@ -256,7 +256,7 @@ func TestVerifyRejectsColocatedPair(t *testing.T) {
 	}
 }
 
-func TestGreedyAndIncrementalRejectAntiAffinity(t *testing.T) {
+func TestGreedyRejectsAntiAffinity(t *testing.T) {
 	g := lineTopo(t, 2)
 	prob := &Problem{
 		Topo:         g,
@@ -267,8 +267,59 @@ func TestGreedyAndIncrementalRejectAntiAffinity(t *testing.T) {
 	if _, err := SolveGreedy(prob); err == nil {
 		t.Fatal("greedy should reject anti-affinity")
 	}
-	if _, err := NewIncrementalEngine(prob, IncrementalOptions{}); err == nil {
-		t.Fatal("incremental should reject anti-affinity")
+}
+
+// TestIncrementalHonoursAntiAffinity: the warm engine runs the same
+// repair search as Engine.Solve, so an ids!proxy exclusion holds on every
+// pass of a rate sweep.
+func TestIncrementalHonoursAntiAffinity(t *testing.T) {
+	g := lineTopo(t, 3)
+	prob := &Problem{
+		Topo: g,
+		Classes: []Class{
+			{ID: 0, Path: path(3), Chain: policy.Chain{policy.IDS, policy.Proxy}, RateMbps: 600},
+			{ID: 1, Path: path(3), Chain: policy.Chain{policy.Proxy}, RateMbps: 300},
+			{ID: 2, Path: path(2), Chain: policy.Chain{policy.IDS}, RateMbps: 200},
+		},
+		Avail:        bigHosts(3),
+		AntiAffinity: []policy.NFPair{mustPair(t, policy.IDS, policy.Proxy)},
+	}
+	colocated := func(pl *Placement) (topology.NodeID, bool) {
+		for v, at := range pl.Counts {
+			if at[policy.IDS] > 0 && at[policy.Proxy] > 0 {
+				return v, true
+			}
+		}
+		return 0, false
+	}
+	// Without the exclusion the pair shares a switch, so the sweep below
+	// has to evict.
+	flat := *prob
+	flat.AntiAffinity = nil
+	free, err := NewEngine(EngineOptions{}).Solve(&flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := colocated(free); !ok {
+		t.Fatalf("unconstrained placement does not co-locate the pair: %v", free.Counts)
+	}
+
+	eng, err := NewIncrementalEngine(prob, IncrementalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []float64{1, 1.4, 0.6, 1.1, 0.9, 1.8} {
+		snap := scaledProblem(prob, f)
+		pl, _, err := eng.Place(ratesOf(snap))
+		if err != nil {
+			t.Fatalf("pass %d: %v", i, err)
+		}
+		if err := pl.Verify(snap); err != nil {
+			t.Fatalf("pass %d Verify: %v", i, err)
+		}
+		if v, ok := colocated(pl); ok {
+			t.Fatalf("pass %d co-locates ids and proxy at switch %d: %v", i, v, pl.Counts)
+		}
 	}
 }
 
