@@ -1,7 +1,8 @@
 GO ?= go
 BENCHTIME ?= 5x
 FUZZTIME ?= 20s
-FUZZ_TARGETS := FuzzMatchLookup FuzzBatchSequence FuzzSubsumes FuzzPrefixContains
+FUZZ_TARGETS := flowtable:FuzzMatchLookup flowtable:FuzzBatchSequence flowtable:FuzzSubsumes \
+	flowtable:FuzzPrefixContains shard:FuzzPartition lp:FuzzWarmResolve
 SHARD_CLASSES ?= 200000
 SHARD_COUNTS ?= 1,2,4,8
 SHARD_MIN_SPEEDUP ?= 1
@@ -87,13 +88,15 @@ bench-policy:
 reopt:
 	$(GO) run ./cmd/applereopt -out BENCH_reopt.json
 
-# fuzz runs each flow-table fuzz target for FUZZTIME. Go's fuzzer accepts
-# one -fuzz pattern per invocation, so targets run back to back; any
-# counterexample is minimized into internal/flowtable/testdata/fuzz/.
+# fuzz runs each fuzz target for FUZZTIME. FUZZ_TARGETS entries are
+# package:Target, the package under internal/. Go's fuzzer accepts one
+# -fuzz pattern per invocation, so targets run back to back; any
+# counterexample is minimized into internal/<package>/testdata/fuzz/.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
-		echo "--- fuzz $$t ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/flowtable || exit 1; \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "--- fuzz $$name in internal/$$pkg ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) ./internal/$$pkg || exit 1; \
 	done
 
 # cover writes a whole-repo coverage profile and prints the per-function

@@ -63,8 +63,12 @@ func TestProblemDeterminism(t *testing.T) {
 	}
 }
 
+// TestTableVOrdering runs at full scale, the settings of the Table V
+// benchmarks: at half scale AS-3679's tableau is sparse enough (2% nonzero)
+// that its solve comes within about 1.2x of UNIV1's (11% nonzero), a
+// margin that noise from parallel test packages can swamp.
 func TestTableVOrdering(t *testing.T) {
-	scs, err := All(smallOpts())
+	scs, err := All(Options{Seed: 1, Snapshots: 96})
 	if err != nil {
 		t.Fatal(err)
 	}

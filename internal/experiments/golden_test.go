@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/apple-nfv/apple/internal/core"
@@ -33,7 +34,9 @@ type goldenFile struct {
 	// benchmark settings (seed 1, 96 snapshots).
 	Cold map[string]goldenCold `json:"cold"`
 	// WarmPivots holds the per-pass IncrementalEngine pivots of the
-	// applereopt replay (seed 1, 96-snapshot series, 24 passes, stride 2).
+	// applereopt replay (seed 1, 96-snapshot series, 24 passes, stride 2)
+	// on every scenario; UNIV1 and AS-3679 pin the dual simplex on the
+	// largest tableaus.
 	WarmPivots map[string][]int `json:"warm_pivots"`
 }
 
@@ -95,7 +98,8 @@ func warmPivots(t *testing.T, sc *Scenario) []int {
 	const passes, stride = 24, 2
 	out := make([]int, 0, passes)
 	for k := 0; k < passes; k++ {
-		_, st, err := eng.Place(classRates(base, sc.Series[k*stride]))
+		// AS-3679's series has 24 snapshots; wrap around it.
+		_, st, err := eng.Place(classRates(base, sc.Series[(k*stride)%len(sc.Series)]))
 		if err != nil {
 			t.Fatalf("%s pass %d: %v", sc.Name, k, err)
 		}
@@ -128,9 +132,7 @@ func TestPlacementGolden(t *testing.T) {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
 		got.Cold[sc.Name] = goldenColdOf(pl)
-		if sc.Name == "Internet2" || sc.Name == "GEANT" {
-			got.WarmPivots[sc.Name] = warmPivots(t, sc)
-		}
+		got.WarmPivots[sc.Name] = warmPivots(t, sc)
 	}
 
 	if *updateGolden {
@@ -171,5 +173,32 @@ func TestPlacementGolden(t *testing.T) {
 		if g := got.WarmPivots[name]; !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: warm pivots %v, want %v", name, g, w)
 		}
+	}
+}
+
+// TestColdSolveAllocBound pins the simplex's storage: a cold Engine.Solve
+// of AS-3679's mean problem (about 2100 rows by 5300 columns) allocates
+// about 20 MB in all, where a dense m×n tableau alone is 89 MB.
+func TestColdSolveAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves the AS-3679 scenario")
+	}
+	sc, err := AS3679(Options{Seed: 1, Snapshots: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := sc.MeanProblem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.NewEngine(core.EngineOptions{}).Solve(prob); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 32 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("cold solve allocated %.1f MiB, want at most %d MiB", float64(got)/(1<<20), limit>>20)
 	}
 }

@@ -1,9 +1,9 @@
 // Package lp is a self-contained linear-programming toolkit: a modeling
-// layer, a dense two-phase primal simplex solver, and a branch-and-bound
-// wrapper for mixed-integer programs. It stands in for CPLEX in the APPLE
-// Optimization Engine (§IV-D): the engine builds the placement ILP here,
-// solves the LP relaxation, and rounds — exactly the solution strategy the
-// paper describes.
+// layer, a two-phase primal simplex solver on a sparse tableau, and a
+// branch-and-bound wrapper for mixed-integer programs. It stands in for
+// CPLEX in the APPLE Optimization Engine (§IV-D): the engine builds the
+// placement ILP here, solves the LP relaxation, and rounds — exactly the
+// solution strategy the paper describes.
 package lp
 
 import (

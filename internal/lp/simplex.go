@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -24,7 +26,7 @@ const (
 )
 
 // Solve solves the LP relaxation of the model (integrality flags are
-// ignored) with a dense bounded-variable two-phase primal simplex. Variable
+// ignored) with a bounded-variable two-phase primal simplex. Variable
 // bounds lo ≤ x ≤ hi are handled natively in the ratio test (nonbasic
 // variables may sit at either bound), so finite bounds never generate
 // tableau rows. It returns ErrInfeasible, ErrUnbounded, or ErrIterLimit
@@ -205,18 +207,40 @@ func dualIterBudget(m int) int {
 	return b
 }
 
-// tableau is the dense bounded-variable simplex working state:
+// tableau is the bounded-variable simplex working state:
 // minimize c·x subject to Ax + Σs = b, lo ≤ x ≤ hi, with one slack per row
 // (bounds [0,∞) for inequalities, [0,0] for equalities) and artificial
 // columns only for rows whose slack-basis start violates the slack bounds.
-// `a` is maintained as B⁻¹A by Gauss-Jordan pivoting; basic-variable
-// values xB are maintained incrementally and never stored in the matrix.
+// The constraint matrix is maintained as B⁻¹A by Gauss-Jordan pivoting;
+// basic-variable values xB are maintained incrementally and never stored
+// in the matrix.
+//
+// B⁻¹A stays sparse on the placement LPs (about 2% nonzero at the optimum
+// on AS-3679), so rows are stored sparsely: each row's nonzeros sorted by
+// column. A row whose fill-in passes n/denseFrac entries switches to dense
+// storage for good, because a sorted merge over a long row costs more
+// than a dense sweep. The storage changes no arithmetic: every entry gets
+// the operations a dense Gauss-Jordan tableau would apply to it, in the
+// same order, with only those on zero entries skipped, and the ratio
+// tests visit rows and columns in ascending order. Pivots and answers are
+// therefore bit-identical whatever the storage of each row.
 type tableau struct {
 	m, n int // rows, structural+slack+artificial columns
 	nv   int // structural columns
 	nart int // artificial columns (always the trailing ones)
 
-	a     []float64 // m×n row-major constraint matrix, kept as B⁻¹A
+	// Row i is dense when dense[i] != nil (all n entries), otherwise sparse
+	// with its nonzeros in idx[i]/val[i], ascending by column.
+	idx       [][]int32
+	val       [][]float64
+	dense     [][]float64
+	denseRows []int32   // indices of the dense rows, ascending
+	slab      []float64 // unused tail of the block dense rows are cut from
+	// cols[j] lists sparse rows that may hold a nonzero in column j: every
+	// sparse row that does is listed, stale and repeated entries are
+	// pruned when the column is gathered. Dense rows are never listed.
+	cols [][]int32
+
 	basis []int     // basic column per row
 	xB    []float64 // value of the basic variable per row
 
@@ -228,8 +252,24 @@ type tableau struct {
 
 	red     []float64 // maintained reduced-cost row
 	inBasis []bool    // basic-column marks
-	nz      []int32   // scratch: pivot-row nonzero columns
+
+	// Scratch. colRow/colVal hold the gathered column colOf (-1 when the
+	// gather is stale); rowIdx/rowVal a dense row's nonzeros; mIdx/mVal
+	// the output of a sparse row update.
+	colOf        int
+	colRow       []int32
+	colVal       []float64
+	rowIdx, mIdx []int32
+	rowVal, mVal []float64
 }
+
+const (
+	// denseFrac sets the dense-row rule: a row with more than n/denseFrac
+	// nonzeros is stored densely.
+	denseFrac = 16
+	// denseBlock is the number of dense rows the slab grows by at a time.
+	denseBlock = 32
+)
 
 // newTableau converts the model. Structural variables start nonbasic at
 // their lower bound; each row's slack absorbs the residual when it can,
@@ -251,6 +291,7 @@ func newTableau(m *Model) (*tableau, error) {
 	// LE wants resid ≥ 0, GE wants resid ≤ 0, EQ wants resid = 0.
 	needArt := make([]bool, nrows)
 	nart := 0
+	nnz := 0
 	for i, con := range m.cons {
 		switch con.sense {
 		case LE:
@@ -263,6 +304,7 @@ func newTableau(m *Model) (*tableau, error) {
 		if needArt[i] {
 			nart++
 		}
+		nnz += len(con.terms) + 2
 	}
 
 	n := nv + nrows + nart
@@ -271,7 +313,10 @@ func newTableau(m *Model) (*tableau, error) {
 		n:       n,
 		nv:      nv,
 		nart:    nart,
-		a:       make([]float64, nrows*n),
+		idx:     make([][]int32, nrows),
+		val:     make([][]float64, nrows),
+		dense:   make([][]float64, nrows),
+		cols:    make([][]int32, n),
 		basis:   make([]int, nrows),
 		xB:      make([]float64, nrows),
 		lo:      make([]float64, n),
@@ -280,18 +325,29 @@ func newTableau(m *Model) (*tableau, error) {
 		art:     make([]float64, n),
 		atUpper: make([]bool, n),
 		inBasis: make([]bool, n),
+		colOf:   -1,
 	}
 	for j, v := range m.vars {
 		t.c[j] = v.obj
 		t.lo[j] = v.lo
 		t.hi[j] = v.hi
 	}
+	// Rows start in one block each for indices and values, with room to
+	// double before the first fill-in needs a new buffer.
+	idxBuf := make([]int32, 0, 2*nnz)
+	valBuf := make([]float64, 0, 2*nnz)
 	artCol := nv + nrows
 	for i, con := range m.cons {
-		row := t.a[i*n : (i+1)*n]
+		// AddConstraint merged duplicate terms, so each column appears once.
+		k := len(con.terms) + 2
+		idx := idxBuf[len(idxBuf) : len(idxBuf) : len(idxBuf)+2*k]
+		val := valBuf[len(valBuf) : len(valBuf) : len(valBuf)+2*k]
+		idxBuf, valBuf = idxBuf[:len(idxBuf)+2*k], valBuf[:len(valBuf)+2*k]
 		for _, term := range con.terms {
-			row[int(term.Var)] += term.Coef
+			idx = append(idx, int32(term.Var))
+			val = append(val, term.Coef)
 		}
+		sortRow(idx, val)
 		slack := nv + i
 		sign := 1.0
 		shi := math.Inf(1)
@@ -301,7 +357,8 @@ func newTableau(m *Model) (*tableau, error) {
 		case EQ:
 			shi = 0
 		}
-		row[slack] = sign
+		idx = append(idx, int32(slack))
+		val = append(val, sign)
 		t.lo[slack] = 0
 		t.hi[slack] = shi
 		if !needArt[i] {
@@ -316,7 +373,8 @@ func newTableau(m *Model) (*tableau, error) {
 			if resid[i] < 0 {
 				tau = -1
 			}
-			row[artCol] = tau
+			idx = append(idx, int32(artCol))
+			val = append(val, tau)
 			t.lo[artCol] = 0
 			t.hi[artCol] = math.Inf(1)
 			t.art[artCol] = 1
@@ -324,22 +382,156 @@ func newTableau(m *Model) (*tableau, error) {
 			t.xB[i] = math.Abs(resid[i])
 			artCol++
 		}
-	}
-	// Canonicalize: the tableau is maintained as B⁻¹A, so each row's basic
-	// column must be a unit vector. GE slacks (coefficient −1) and negative
-	// artificials need their rows scaled by −1.
-	for i, bj := range t.basis {
+		// Canonicalize: the tableau is maintained as B⁻¹A, so each row's
+		// basic column must be a unit vector. GE slacks (coefficient −1) and
+		// negative artificials need their rows scaled by −1.
+		bj := int32(t.basis[i])
 		t.inBasis[bj] = true
-		row := t.a[i*n : (i+1)*n]
-		if piv := row[bj]; piv != 1 {
+		if piv := val[len(val)-1]; piv != 1 {
 			inv := 1 / piv
-			for jj := range row {
-				row[jj] *= inv
+			for q := range val {
+				val[q] *= inv
 			}
-			row[bj] = 1
+			val[len(val)-1] = 1
+		}
+		if len(idx) > n/denseFrac {
+			t.makeDense(i, idx, val)
+		} else {
+			t.idx[i], t.val[i] = idx, val
+		}
+	}
+	// List every sparse row in its columns, with room for as much fill-in
+	// again before a list needs a new buffer.
+	count := make([]int, n)
+	for _, idx := range t.idx {
+		for _, j := range idx {
+			count[j]++
+		}
+	}
+	colBuf := make([]int32, 2*nnz)
+	for j, k := range count {
+		t.cols[j] = colBuf[: 0 : 2*k]
+		colBuf = colBuf[2*k:]
+	}
+	for i, idx := range t.idx {
+		for _, j := range idx {
+			t.cols[j] = append(t.cols[j], int32(i))
 		}
 	}
 	return t, nil
+}
+
+// sortRow sorts a row's entries by column.
+func sortRow(idx []int32, val []float64) {
+	sort.Sort(rowSorter{idx, val})
+}
+
+type rowSorter struct {
+	idx []int32
+	val []float64
+}
+
+func (r rowSorter) Len() int           { return len(r.idx) }
+func (r rowSorter) Less(p, q int) bool { return r.idx[p] < r.idx[q] }
+func (r rowSorter) Swap(p, q int) {
+	r.idx[p], r.idx[q] = r.idx[q], r.idx[p]
+	r.val[p], r.val[q] = r.val[q], r.val[p]
+}
+
+// makeDense moves row i, given as sorted nonzeros, to dense storage cut
+// from the slab. The slab grows in blocks of at most denseBlock rows, and
+// never more than the rows still sparse, so the memory dense rows take
+// stays within one block of what they use.
+func (t *tableau) makeDense(i int, idx []int32, val []float64) {
+	if len(t.slab) < t.n {
+		t.slab = make([]float64, min(denseBlock, t.m-len(t.denseRows))*t.n)
+	}
+	row := t.slab[:t.n:t.n]
+	t.slab = t.slab[t.n:]
+	for q, j := range idx {
+		row[j] = val[q]
+	}
+	t.dense[i] = row
+	t.idx[i], t.val[i] = nil, nil
+	p, _ := slices.BinarySearch(t.denseRows, int32(i))
+	t.denseRows = slices.Insert(t.denseRows, p, int32(i))
+}
+
+// row returns row i's nonzeros ascending by column. A sparse row returns
+// its own storage; a dense row is gathered into scratch, valid until the
+// next call.
+func (t *tableau) row(i int) ([]int32, []float64) {
+	d := t.dense[i]
+	if d == nil {
+		return t.idx[i], t.val[i]
+	}
+	ri, rv := t.rowIdx[:0], t.rowVal[:0]
+	for j, v := range d {
+		if v != 0 {
+			ri = append(ri, int32(j))
+			rv = append(rv, v)
+		}
+	}
+	t.rowIdx, t.rowVal = ri, rv
+	return ri, rv
+}
+
+// at returns entry (i, j).
+func (t *tableau) at(i, j int) float64 {
+	if d := t.dense[i]; d != nil {
+		return d[j]
+	}
+	idx := t.idx[i]
+	if q, ok := slices.BinarySearch(idx, int32(j)); ok {
+		return t.val[i][q]
+	}
+	return 0
+}
+
+// column gathers the nonzeros of column j in ascending row order, the
+// order every ratio test scans rows in. The result stays valid until the
+// next pivot. Gathering prunes cols[j] to the sparse rows that still hold
+// a nonzero there.
+func (t *tableau) column(j int) ([]int32, []float64) {
+	if t.colOf == j {
+		return t.colRow, t.colVal
+	}
+	list := t.cols[j]
+	slices.Sort(list)
+	rows, vals := t.colRow[:0], t.colVal[:0]
+	dr := t.denseRows
+	w := 0
+	prev := int32(-1)
+	for _, i := range list {
+		if i == prev || t.dense[i] != nil {
+			continue
+		}
+		prev = i
+		v := t.at(int(i), j)
+		if v == 0 {
+			continue
+		}
+		list[w] = i
+		w++
+		for len(dr) > 0 && dr[0] < i {
+			if dv := t.dense[dr[0]][j]; dv != 0 {
+				rows = append(rows, dr[0])
+				vals = append(vals, dv)
+			}
+			dr = dr[1:]
+		}
+		rows = append(rows, i)
+		vals = append(vals, v)
+	}
+	for _, i := range dr {
+		if dv := t.dense[i][j]; dv != 0 {
+			rows = append(rows, i)
+			vals = append(vals, dv)
+		}
+	}
+	t.cols[j] = list[:w]
+	t.colRow, t.colVal, t.colOf = rows, vals, j
+	return rows, vals
 }
 
 // realCols is the number of non-artificial columns.
@@ -395,11 +587,14 @@ func (t *tableau) evictArtificials() {
 		if t.basis[i] < real {
 			continue
 		}
-		row := t.a[i*t.n : (i+1)*t.n]
+		idx, val := t.row(i)
 		pivotCol := -1
-		for j := 0; j < real; j++ {
-			if math.Abs(row[j]) > eps {
-				pivotCol = j
+		for q, j := range idx {
+			if int(j) >= real {
+				break
+			}
+			if math.Abs(val[q]) > eps {
+				pivotCol = int(j)
 				break
 			}
 		}
@@ -421,11 +616,9 @@ func (t *tableau) refreshRed(c []float64) {
 		if cb == 0 {
 			continue
 		}
-		row := t.a[i*t.n : (i+1)*t.n]
-		for j, aij := range row {
-			if aij != 0 {
-				t.red[j] -= cb * aij
-			}
+		idx, val := t.row(i)
+		for q, j := range idx {
+			t.red[j] -= cb * val[q]
 		}
 	}
 }
@@ -454,17 +647,17 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 		enter := -1
 		dir := 1.0
 		best := eps
+		// The score test runs first: it rejects almost every column after
+		// reading only red and atUpper, instead of five arrays. The
+		// column set and the comparisons are unchanged.
 		for j := 0; j < cols; j++ {
-			if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
-				continue
-			}
 			score := -t.red[j] // improvement rate moving up from lo
 			d := 1.0
 			if t.atUpper[j] {
 				score = t.red[j] // moving down from hi
 				d = -1
 			}
-			if score > best {
+			if score > best && !t.inBasis[j] && t.hi[j]-t.lo[j] >= eps {
 				enter, dir = j, d
 				if useBland {
 					break
@@ -489,9 +682,9 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 		limit := t.hi[enter] - t.lo[enter] // may be +inf
 		leave := -1
 		leaveToUpper := false
-		for i := 0; i < t.m; i++ {
-			aij := t.a[i*t.n+enter]
-			delta := dir * aij // rate at which xB[i] decreases per unit step
+		rows, vals := t.column(enter)
+		for q, i := range rows {
+			delta := dir * vals[q] // rate at which xB[i] decreases per unit step
 			bi := t.basis[i]
 			var ti float64
 			var toUpper bool
@@ -512,7 +705,7 @@ func (t *tableau) optimize(c []float64, phase1 bool) (Status, int) {
 			}
 			if ti < limit-eps || (ti < limit+eps && (leave < 0 || bi < t.basis[leave])) {
 				limit = ti
-				leave = i
+				leave = int(i)
 				leaveToUpper = toUpper
 			}
 		}
@@ -583,14 +776,18 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 		// the upper bound, columns whose movement lowers it. Among the
 		// eligible, the smallest |red/a| keeps every other reduced cost on
 		// its feasible side after the pivot.
-		row := t.a[r*t.n : (r+1)*t.n]
+		idx, val := t.row(r)
 		enter := -1
 		bestRatio := math.Inf(1)
-		for j := 0; j < real; j++ {
+		for q, jj := range idx {
+			j := int(jj)
+			if j >= real {
+				break
+			}
 			if t.inBasis[j] || t.hi[j]-t.lo[j] < eps {
 				continue
 			}
-			arj := row[j]
+			arj := val[q]
 			var eligible bool
 			if below {
 				eligible = (!t.atUpper[j] && arj < -eps) || (t.atUpper[j] && arj > eps)
@@ -623,10 +820,9 @@ func (t *tableau) dualSimplex(maxIter int) (Status, int, bool) {
 // values it shifts.
 func (t *tableau) boundFlip(j int, dir, dist float64) {
 	step := dir * dist
-	for i := 0; i < t.m; i++ {
-		if aij := t.a[i*t.n+j]; aij != 0 {
-			t.xB[i] -= step * aij
-		}
+	rows, vals := t.column(j)
+	for q, i := range rows {
+		t.xB[i] -= step * vals[q]
 	}
 	t.atUpper[j] = !t.atUpper[j]
 }
@@ -636,19 +832,15 @@ func (t *tableau) boundFlip(j int, dir, dist float64) {
 // leavingAtUpper). It updates the basic values, nonbasic statuses, the
 // Gauss-Jordan tableau, and the maintained reduced-cost row.
 func (t *tableau) replaceBasic(r, j int, targetBound float64, leavingAtUpper bool) {
-	n := t.n
-	piv := t.a[r*n+j]
+	rows, vals := t.column(j)
+	piv := t.at(r, j)
 	delta := (t.xB[r] - targetBound) / piv
 	enterVal := t.value(j) + delta
-	for i := 0; i < t.m; i++ {
-		if i == r {
+	for q, i := range rows {
+		if int(i) == r {
 			continue
 		}
-		aij := t.a[i*n+j]
-		if aij == 0 {
-			continue
-		}
-		t.xB[i] -= aij * delta
+		t.xB[i] -= vals[q] * delta
 		// Clean eps-level bound violations introduced by the update.
 		bi := t.basis[i]
 		if d := t.xB[i] - t.lo[bi]; d < 0 && d > -1e-11 {
@@ -668,55 +860,126 @@ func (t *tableau) replaceBasic(r, j int, targetBound float64, leavingAtUpper boo
 	}
 	t.xB[r] = enterVal
 
-	// Gauss-Jordan pivot on (r, j). The pivot row's nonzero columns are
-	// collected once so every elimination walks only those indices instead
-	// of branching across all n columns — the single hottest loop in the
-	// solver.
-	inv := 1 / piv
-	prow := t.a[r*n : (r+1)*n]
-	if cap(t.nz) < n {
-		t.nz = make([]int32, 0, n)
-	}
-	nz := t.nz[:0]
-	for jj := range prow {
-		v := prow[jj] * inv
-		// Drop eps-dust to fight fill-in and drift accumulation.
-		if v < 1e-13 && v > -1e-13 {
-			v = 0
-		}
-		prow[jj] = v
-		if v != 0 {
-			nz = append(nz, int32(jj))
-		}
-	}
-	t.nz = nz
-	prow[j] = 1 // exact
-	for i := 0; i < t.m; i++ {
-		if i == r {
+	// Gauss-Jordan pivot on (r, j): scale the pivot row, then subtract
+	// f·(pivot row) from every other row with f = a_ij ≠ 0 — the rows the
+	// gathered column lists — walking only the pivot row's nonzeros.
+	t.scalePivotRow(r, j, 1/piv)
+	pidx, pval := t.row(r)
+	for q, i := range rows {
+		if int(i) == r {
 			continue
 		}
-		f := t.a[i*n+j]
-		if f == 0 {
-			continue
+		f := vals[q]
+		if d := t.dense[i]; d != nil {
+			for k, jj := range pidx {
+				d[jj] -= f * pval[k]
+			}
+			d[j] = 0 // exact
+		} else {
+			t.updateRow(int(i), j, f, pidx, pval)
 		}
-		irow := t.a[i*n : (i+1)*n]
-		for _, jj := range nz {
-			irow[jj] -= f * prow[jj]
-		}
-		irow[j] = 0 // exact
 	}
 	if t.red != nil {
 		f := t.red[j]
 		if f != 0 {
-			for _, jj := range nz {
-				t.red[jj] -= f * prow[jj]
+			for k, jj := range pidx {
+				t.red[jj] -= f * pval[k]
 			}
 			t.red[j] = 0 // exact
 		}
 	}
+	// Column j is now the unit vector of row r.
+	t.cols[j] = t.cols[j][:0]
+	if t.dense[r] == nil {
+		t.cols[j] = append(t.cols[j], int32(r))
+	}
+	t.colOf = -1
 	t.inBasis[leaving] = false
 	t.inBasis[j] = true
 	t.basis[r] = j
+}
+
+// scalePivotRow multiplies row r by inv, drops eps-dust to fight fill-in
+// and drift accumulation, and sets the pivot entry (r, j) to exactly 1.
+func (t *tableau) scalePivotRow(r, j int, inv float64) {
+	if d := t.dense[r]; d != nil {
+		for jj, v := range d {
+			v *= inv
+			if v < 1e-13 && v > -1e-13 {
+				v = 0
+			}
+			d[jj] = v
+		}
+		d[j] = 1 // exact
+		return
+	}
+	idx, val := t.idx[r], t.val[r]
+	w := 0
+	for q, jj := range idx {
+		v := val[q] * inv
+		if v < 1e-13 && v > -1e-13 {
+			continue
+		}
+		if int(jj) == j {
+			v = 1 // exact
+		}
+		idx[w], val[w] = jj, v
+		w++
+	}
+	t.idx[r], t.val[r] = idx[:w], val[:w]
+}
+
+// updateRow performs a_i -= f·p on sparse row i for the pivot row p
+// (pidx/pval) with pivot column j, as one merge of the two sorted rows:
+// shared columns get a_ik − f·p_k, new columns 0 − f·p_k, column j an
+// exact 0, and entries that come out zero are dropped. A row pushed past
+// the dense-row rule moves to dense storage.
+func (t *tableau) updateRow(i, j int, f float64, pidx []int32, pval []float64) {
+	aidx, aval := t.idx[i], t.val[i]
+	need := len(aidx) + len(pidx)
+	if cap(t.mIdx) < need {
+		t.mIdx = make([]int32, 0, need+need/2)
+		t.mVal = make([]float64, 0, need+need/2)
+	}
+	oi, ov := t.mIdx[:0], t.mVal[:0]
+	a, p := 0, 0
+	for a < len(aidx) || p < len(pidx) {
+		var col int32
+		var v float64
+		switch {
+		case p == len(pidx) || (a < len(aidx) && aidx[a] < pidx[p]):
+			col, v = aidx[a], aval[a]
+			a++
+		case a == len(aidx) || pidx[p] < aidx[a]:
+			col = pidx[p]
+			v = 0 - f*pval[p]
+			p++
+			if v != 0 {
+				t.cols[col] = append(t.cols[col], int32(i))
+			}
+		default:
+			col = aidx[a]
+			v = aval[a] - f*pval[p]
+			a++
+			p++
+		}
+		if v == 0 || int(col) == j {
+			continue
+		}
+		oi = append(oi, col)
+		ov = append(ov, v)
+	}
+	t.mIdx, t.mVal = oi, ov
+	if len(oi) > t.n/denseFrac {
+		t.makeDense(i, oi, ov)
+		return
+	}
+	if cap(aidx) < len(oi) {
+		aidx = make([]int32, 0, min(2*len(oi), t.n/denseFrac))
+		aval = make([]float64, 0, cap(aidx))
+	}
+	t.idx[i] = append(aidx[:0], oi...)
+	t.val[i] = append(aval[:0], ov...)
 }
 
 // setVarBounds updates the bounds of structural column j in the live
@@ -741,10 +1004,9 @@ func (t *tableau) setVarBounds(j int, lo, hi float64) {
 		return
 	}
 	shift := newVal - oldVal
-	for i := 0; i < t.m; i++ {
-		if aij := t.a[i*t.n+j]; aij != 0 {
-			t.xB[i] -= aij * shift
-		}
+	rows, vals := t.column(j)
+	for q, i := range rows {
+		t.xB[i] -= vals[q] * shift
 	}
 }
 

@@ -49,8 +49,8 @@ func (s *Solver) RestingAtUpper(v VarID) bool {
 		return false
 	}
 	j := int(v)
-	if j < 0 || j >= len(s.t.inBasis) {
-		return false
+	if j < 0 || j >= s.t.nv {
+		return false // slack and artificial columns are not variables
 	}
 	return !s.t.inBasis[j] && s.t.atUpper[j]
 }

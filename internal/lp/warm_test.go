@@ -78,6 +78,28 @@ func TestRestingAtUpper(t *testing.T) {
 	}
 }
 
+// TestRestingAtUpperIgnoresSlacks: a VarID past the model's variables
+// must read false even though the tableau has a column there. In
+// min -y s.t. x - y = 0 the equality's slack (fixed at [0,0]) leaves the
+// basis at its upper bound when y enters, so the column right after the
+// structural ones rests at upper.
+func TestRestingAtUpperIgnoresSlacks(t *testing.T) {
+	m := NewModel("slack")
+	x := addVar(t, m, "x", 0, 5, 0)
+	y := addVar(t, m, "y", 0, 3, -1)
+	addCon(t, m, "eq", EQ, 0, Term{x, 1}, Term{y, -1})
+	s := NewSolver(m)
+	if _, err := s.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.t.atUpper[2] || s.t.inBasis[2] {
+		t.Fatal("setup: the equality's slack should rest at its upper bound")
+	}
+	if s.RestingAtUpper(VarID(2)) {
+		t.Fatal("VarID 2 is not a model variable: RestingAtUpper must be false")
+	}
+}
+
 // TestKeptUpperBoundWarmStart is the engine's cross-snapshot pattern:
 // a binding upper bound kept in place across a rate change must not
 // break the warm start, and the warm objective must match a cold solve.
